@@ -55,8 +55,12 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.runs < 0:
-            raise ConfigError(f"runs must be non-negative, got {self.runs}")
+        for key in ("seed", "runs"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,6 +148,8 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
             amps.append(complex(entry[0], entry[1]))
         else:
             raise ConfigError(f"amplitude entries must be numbers or [re, im] pairs, got {entry!r}")
+    if not np.all(np.isfinite(amps)):
+        raise ConfigError(f"amplitudes must be finite, got {listed!r}")
     norm = float(np.linalg.norm(amps))
     deviation = abs(norm - 1.0)
     if deviation > STATE_NORM_TOL:
@@ -179,11 +185,6 @@ def emit_report(doc: dict, format: str) -> str:
         _render_text(doc, lines, 0)
         return "\n".join(lines) + "\n"
     raise ConfigError(f"format must be one of {FORMATS}, got {format!r}")
-
-
-def parse_report(text: str) -> dict:
-    """Inverse of emit_report for the structured format."""
-    return json.loads(text)
 
 
 def _render_scalar(value) -> str:
@@ -338,8 +339,11 @@ def run_command(config: RunConfig, out=None) -> int:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
     path = _output_path(config)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(emit_report(doc, config.format))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(emit_report(doc, config.format))
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from None
     print(f"report: {path}", file=out)
     return 0
 

@@ -200,10 +200,6 @@ class KnowledgeLedger:
         return fresh
 
 
-def ledger_record(ledger: KnowledgeLedger, entry: LedgerEntry) -> PurgeDemand | None:
-    return ledger.record(entry)
-
-
 def discharge(ledger: KnowledgeLedger, conditional: LedgerEntry, anchor: Fact) -> Prediction:
     """Turn held conditional knowledge plus its unconditional anchor into a prediction.
 

@@ -24,6 +24,12 @@ NORM_TOL = 1e-12
 SUPPORT_LEAK_TOL = 1e-8
 # Branches with amplitude modulus below this are dropped.
 BRANCH_AMP_TOL = 1e-10
+# A probability above this counts as an observed (nonzero) outcome.
+PROBABILITY_TOL = 1e-12
+# Joint projector traces must lie this close to an integer rank.
+RANK_TOL = 1e-6
+# A vector's global phase is fixed on its first component with modulus above this.
+PHASE_REF_TOL = 1e-8
 
 MAX_QUBITS = 8
 
@@ -104,6 +110,8 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has length {amps.shape[0]}, register needs {self.register.dim}"
             )
+        if not np.isfinite(amps).all():
+            raise InvariantError("state amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise InvariantError(f"state squared-norm {norm_sq!r} deviates from 1 beyond {NORM_TOL}")
@@ -198,6 +206,8 @@ class SpectralObservable:
             proj = _readonly(np.asarray(projector, dtype=complex))
             if proj.shape != (dim, dim):
                 raise ValueError(f"projector shape {proj.shape} does not match dim {dim}")
+            if not np.isfinite(proj).all():
+                raise InvariantError(f"projector for eigenvalue {eigenvalue} is not finite")
             if np.max(np.abs(proj - proj.conj().T)) > STRUCT_TOL:
                 raise InvariantError(f"projector for eigenvalue {eigenvalue} is not Hermitian")
             if np.max(np.abs(proj @ proj - proj)) > STRUCT_TOL:
@@ -304,7 +314,7 @@ def conjugate_observable(obs: SpectralObservable, name: str = "") -> SpectralObs
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     """Multiply by a global phase so the first component above tolerance is real positive."""
     for comp in vec:
-        if abs(comp) > 1e-8:
+        if abs(comp) > PHASE_REF_TOL:
             return vec * (comp.conjugate() / abs(comp))
     raise InvariantError("cannot phase-fix a numerically zero vector")
 
@@ -393,6 +403,8 @@ def apply_operator(state: StateVector, op: np.ndarray, targets) -> StateVector:
     k = len(targets)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not fit {k} target qubits")
+    if not np.isfinite(op).all():
+        raise ValueError("operator entries must be finite")
     deviation = np.max(np.abs(op.conj().T @ op - np.eye(2**k)))
     if deviation > STRUCT_TOL:
         raise ValueError(f"operator is not unitary (deviation {deviation:.3e})")
@@ -477,6 +489,82 @@ def _check_commuting(observables) -> None:
             )
 
 
+@dataclass(frozen=True)
+class JointEigenspace:
+    """One nonzero joint eigenspace of a commuting family.
+
+    A rank-1 space carries its canonical phase-fixed eigenvector; a degenerate
+    one carries its projector, and each state is projected onto it.
+    """
+
+    records: dict[str, int]
+    vector: StateVector | None
+    projector: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class JointEigenbasis:
+    """The nonzero joint eigenspaces of a commuting family on one register."""
+
+    register: QubitRegister
+    spaces: tuple[JointEigenspace, ...]
+
+
+def joint_eigenbasis(register: QubitRegister, observables) -> JointEigenbasis:
+    """State-independent half of a branch decomposition over a commuting family."""
+    observables = [obs.embedded(register) for obs in observables]
+    names = [obs.name for obs in observables]
+    if len(set(names)) != len(names):
+        raise ValueError(f"observables must carry distinct names, got {names}")
+    _check_commuting(observables)
+    spaces = []
+    for combo in itertools.product(*(o.branches for o in observables)):
+        projector = np.eye(register.dim, dtype=complex)
+        for _, proj in combo:
+            projector = projector @ proj
+        trace = float(np.trace(projector).real)
+        rank = round(trace)
+        if abs(trace - rank) > RANK_TOL:
+            raise InvariantError(f"joint projector trace {trace!r} is not near an integer")
+        if rank == 0:
+            continue
+        records = {name: eig for name, (eig, _) in zip(names, combo)}
+        if rank == 1:
+            vector = StateVector(register, _extract_unit_vector(projector))
+            spaces.append(JointEigenspace(records, vector, None))
+        else:
+            spaces.append(JointEigenspace(records, None, _readonly(projector)))
+    return JointEigenbasis(register, tuple(spaces))
+
+
+def project_branches(state: StateVector, basis: JointEigenbasis) -> list[Branch]:
+    """State-dependent half of a branch decomposition: amplitudes on fixed eigenspaces."""
+    if state.register.labels != basis.register.labels:
+        raise ValueError(
+            f"state register {state.register.labels} differs from the eigenbasis "
+            f"register {basis.register.labels}"
+        )
+    branches = []
+    total_weight = 0.0
+    for space in basis.spaces:
+        if space.vector is not None:
+            vector = space.vector
+        else:
+            component = space.projector @ state.amplitudes
+            norm = np.linalg.norm(component)
+            if norm < BRANCH_AMP_TOL:
+                continue
+            vector = StateVector(state.register, _phase_fixed(component / norm))
+        amplitude = complex(np.vdot(vector.amplitudes, state.amplitudes))
+        if abs(amplitude) < BRANCH_AMP_TOL:
+            continue
+        total_weight += abs(amplitude) ** 2
+        branches.append(Branch(dict(space.records), amplitude, vector))
+    if 1.0 - total_weight > SUPPORT_LEAK_TOL:
+        raise OutOfSupportError(1.0 - total_weight)
+    return branches
+
+
 def branch_decompose(state: StateVector, observables) -> list[Branch]:
     """Decompose a state over the joint eigenspaces of a commuting observable family.
 
@@ -485,37 +573,4 @@ def branch_decompose(state: StateVector, observables) -> list[Branch]:
     phase-fixed vector.  Either way the branches reconstruct the state as
     sum(amplitude * vector).
     """
-    observables = [_aligned(obs, state) for obs in observables]
-    names = [obs.name for obs in observables]
-    if len(set(names)) != len(names):
-        raise ValueError(f"observables must carry distinct names, got {names}")
-    _check_commuting(observables)
-    branches = []
-    total_weight = 0.0
-    for combo in itertools.product(*(o.branches for o in observables)):
-        projector = np.eye(state.dim, dtype=complex)
-        for _, proj in combo:
-            projector = projector @ proj
-        trace = float(np.trace(projector).real)
-        if trace < 0.5:
-            continue
-        rank = round(trace)
-        if abs(trace - rank) > 1e-6:
-            raise InvariantError(f"joint projector trace {trace!r} is not near an integer")
-        if rank == 1:
-            vector = _extract_unit_vector(projector)
-        else:
-            component = projector @ state.amplitudes
-            norm = np.linalg.norm(component)
-            if norm < BRANCH_AMP_TOL:
-                continue
-            vector = _phase_fixed(component / norm)
-        amplitude = complex(np.vdot(vector, state.amplitudes))
-        if abs(amplitude) < BRANCH_AMP_TOL:
-            continue
-        total_weight += abs(amplitude) ** 2
-        records = {name: eig for name, (eig, _) in zip(names, combo)}
-        branches.append(Branch(records, amplitude, StateVector(state.register, vector)))
-    if 1.0 - total_weight > SUPPORT_LEAK_TOL:
-        raise OutOfSupportError(1.0 - total_weight)
-    return branches
+    return project_branches(state, joint_eigenbasis(state.register, observables))

@@ -26,6 +26,9 @@ from .friendify import (
     record_observable,
 )
 from .qsim import (
+    PROBABILITY_TOL,
+    InvariantError,
+    JointEigenbasis,
     QubitRegister,
     SpectralObservable,
     StateVector,
@@ -33,9 +36,11 @@ from .qsim import (
     basis_state,
     branch_decompose,
     expectation,
+    joint_eigenbasis,
     normalized_state,
     pauli_observable,
     product_observable,
+    project_branches,
     random_state,
     tensor_product,
 )
@@ -103,6 +108,7 @@ class Scenario:
     initial_state: StateVector
     stages: tuple[Stage, ...]
     frame: object
+    plan: PMPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,56 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class CBranch:
+    """An audited C outcome; `vector` spans its rank-1 eigenspace and is shared by every run."""
+
     outcome: tuple[int, int, int]
     probability: float | None
-    projector: np.ndarray
+    vector: StateVector
     retrodiction: contextuality.RetrodictionVerdict
     contradiction: bool
+
+
+@dataclass(frozen=True)
+class StageReadout:
+    """Joint eigenbasis of a stage's record readouts, compiled once.
+
+    Qubits no readout touches are resolved in Z.  `derived` maps an extra
+    record name to the pair of record names whose product defines it.
+    """
+
+    names: tuple[str, ...]
+    derived: dict[str, tuple[str, str]]
+    basis: JointEigenbasis
+
+    def records(self, state: StateVector) -> list[BranchRecord]:
+        records = []
+        for branch in project_branches(state, self.basis):
+            outcomes = {name: branch.records[name] for name in self.names}
+            for extra, (left, right) in self.derived.items():
+                outcomes[extra] = outcomes[left] * outcomes[right]
+            records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
+        return records
+
+
+@dataclass(frozen=True)
+class PMPlan:
+    """Everything a square-protocol run reads that depends only on the frame.
+
+    Compiled once with the frame: the friend unitaries (keyed by memory
+    label), the joint eigenbases of the A, B and C stages, the C1*C2*C3
+    product observable, the square-constraint report, and the retrodiction
+    verdict and contradiction flag of each valid C triple.  The B and C
+    eigenspaces are rank 1; the A readouts leave the B memories free, so
+    their four eigenspaces are rank 4 and each state is projected onto them.
+    """
+
+    unitaries: dict[str, np.ndarray]
+    a_readout: StageReadout
+    b_readout: StageReadout
+    c_basis: JointEigenbasis
+    c_product: SpectralObservable
+    square: contextuality.SquareReport
+    c_audits: dict[tuple[int, int, int], tuple[contextuality.RetrodictionVerdict, bool]]
 
 
 @dataclass(frozen=True)
@@ -269,35 +320,26 @@ def chain_inferences(implications, seed: tuple[str, int]) -> ChainResult:
     return ChainResult(tuple(seed), tuple(conclusions), tuple(steps))
 
 
-def _apply_friend_stage(state: StateVector, stage: Stage) -> StateVector:
+def _apply_friend_stage(state: StateVector, stage: Stage, unitaries: dict) -> StateVector:
+    """Apply each recording's friend unitary, looked up by memory label."""
     for recording in stage.recordings:
-        state = apply_operator(state, friend_unitary(recording.mem), recording.mem.targets)
+        state = apply_operator(state, unitaries[recording.mem.memory], recording.mem.targets)
     return state
 
 
-def _stage_branches(state: StateVector, readouts, derived: dict[str, tuple[str, str]] | None = None):
-    """Branch records for a stage, resolving untouched qubits so joints are rank-1.
-
-    `derived` maps an extra record name to the pair of record names whose
-    product defines it.
-    """
+def stage_readout(register: QubitRegister, readouts, derived: dict | None = None) -> StageReadout:
+    """Compile a stage's record readouts into a joint eigenbasis on `register`."""
     covered = set()
     for obs in readouts:
         covered.update(obs.register.labels)
     fills = [
-        pauli_observable("Z", label, f"fill:{label}").embedded(state.register)
-        for label in state.register.labels
+        pauli_observable("Z", label, f"fill:{label}").embedded(register)
+        for label in register.labels
         if label not in covered
     ]
-    names = [obs.name for obs in readouts]
-    branches = branch_decompose(state, list(readouts) + fills)
-    records = []
-    for branch in branches:
-        outcomes = {name: branch.records[name] for name in names}
-        for extra, (left, right) in (derived or {}).items():
-            outcomes[extra] = outcomes[left] * outcomes[right]
-        records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
-    return records
+    names = tuple(obs.name for obs in readouts)
+    basis = joint_eigenbasis(register, list(readouts) + fills)
+    return StageReadout(names, dict(derived or {}), basis)
 
 
 def run_fr_protocol(scenario: Scenario) -> RunReport:
@@ -311,9 +353,12 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
     if scenario.kind != "hardy":
         raise ValueError(f"expected a hardy scenario, got {scenario.kind!r}")
     frame: HardyFrame = scenario.frame
-    post_friends = _apply_friend_stage(scenario.initial_state, scenario.stages[0])
+    friends = scenario.stages[0]
+    unitaries = {rec.mem.memory: friend_unitary(rec.mem) for rec in friends.recordings}
+    post_friends = _apply_friend_stage(scenario.initial_state, friends, unitaries)
 
-    friend_records = _stage_branches(post_friends, (frame.friend_a, frame.friend_b))
+    readout = stage_readout(post_friends.register, (frame.friend_a, frame.friend_b))
+    friend_records = readout.records(post_friends)
     wigner_branches = branch_decompose(post_friends, (frame.wigner_a, frame.wigner_b))
     joint_labels = ("A", "B")
     distribution: dict[tuple[int, int], float] = {}
@@ -330,7 +375,7 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
 
     chain = chain_inferences(implications, ("A", -1))
     p_both_minus = distribution.get((-1, -1), 0.0)
-    contradiction = (("B", +1) in chain.conclusions) and p_both_minus > 1e-12
+    contradiction = (("B", +1) in chain.conclusions) and p_both_minus > PROBABILITY_TOL
 
     return RunReport(
         kind="hardy",
@@ -422,6 +467,34 @@ def build_pm_frame() -> PMFrame:
     )
 
 
+@functools.cache
+def build_pm_plan() -> PMPlan:
+    """Compile the state-independent part of every square-protocol run.
+
+    The C stage must split into exactly the four valid C triples, each a
+    rank-1 joint eigenspace; both C modes then audit the same fixed vectors.
+    """
+    frame = build_pm_frame()
+    register, readouts = frame.register, frame.readouts
+    c_basis = joint_eigenbasis(register, frame.c_observables)
+    outcomes = [_c_outcome(space.records) for space in c_basis.spaces]
+    rank_one = all(space.vector is not None for space in c_basis.spaces)
+    if outcomes != contextuality.valid_c_triples() or not rank_one:
+        raise InvariantError(f"C stage eigenspaces {outcomes} are not the four rank-1 valid triples")
+    return PMPlan(
+        unitaries={label: friend_unitary(mem) for label, mem in frame.mems.items()},
+        a_readout=stage_readout(register, (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}),
+        b_readout=stage_readout(register, (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}),
+        c_basis=c_basis,
+        c_product=product_observable(frame.c_observables, "C1*C2*C3"),
+        square=contextuality.verify_square_constraints(frame.square),
+        c_audits={
+            c: (contextuality.retrodict_from_c(c), not contextuality.c_outcome_consistent(c))
+            for c in outcomes
+        },
+    )
+
+
 def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scenario:
     """Three-agent square protocol on an arbitrary 2-qubit system state."""
     if c_mode not in ("projective", "expectation-only"):
@@ -451,7 +524,7 @@ def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scena
         ),
         Stage("C", c_mode, observables=frame.c_observables),
     )
-    return Scenario("peres-mermin", PM_REGISTER, system, full, stages, frame)
+    return Scenario("peres-mermin", PM_REGISTER, system, full, stages, frame, build_pm_plan())
 
 
 def run_pm_protocol(scenario: Scenario) -> RunReport:
@@ -460,52 +533,42 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     The level-3 agent's outcomes always satisfy c1*c2*c3 = -1 and retrodict an
     odd number of -1 outcomes for the innermost agent, whose own records
     always carry an even number: the contradiction flag is set per branch by
-    exhaustive assignment search and holds on every run.
+    exhaustive assignment search and holds on every run.  Everything that
+    depends only on the frame comes precompiled from `scenario.plan`.
     """
     if scenario.kind != "peres-mermin":
         raise ValueError(f"expected a peres-mermin scenario, got {scenario.kind!r}")
     frame: PMFrame = scenario.frame
+    plan = scenario.plan
     stage_a, stage_b, stage_c = scenario.stages
 
-    post_a = _apply_friend_stage(scenario.initial_state, stage_a)
-    a_records = _stage_branches(
-        post_a,
-        (frame.readouts["A1"], frame.readouts["A2"]),
-        derived={"A3": ("A1", "A2")},
-    )
-    post_b = _apply_friend_stage(post_a, stage_b)
-    b_records = _stage_branches(
-        post_b,
-        (frame.readouts["B1"], frame.readouts["B2"]),
-        derived={"B3": ("B1", "B2")},
-    )
+    post_a = _apply_friend_stage(scenario.initial_state, stage_a, plan.unitaries)
+    a_records = plan.a_readout.records(post_a)
+    post_b = _apply_friend_stage(post_a, stage_b, plan.unitaries)
+    b_records = plan.b_readout.records(post_b)
 
     c1, c2, c3 = frame.c_observables
     expectations = {
         "C1": expectation(post_b, c1),
         "C2": expectation(post_b, c2),
         "C3": expectation(post_b, c3),
-        "C1*C2*C3": expectation(post_b, product_observable(frame.c_observables, "C1*C2*C3")),
+        "C1*C2*C3": expectation(post_b, plan.c_product),
     }
 
     c_branches = []
     distribution: dict[tuple[int, ...], float] = {}
     amplitudes: dict[tuple[int, ...], complex] = {}
     if stage_c.mode == "projective":
-        for branch in branch_decompose(post_b, frame.c_observables):
-            outcome = (branch.records["C1"], branch.records["C2"], branch.records["C3"])
+        for branch in project_branches(post_b, plan.c_basis):
+            outcome = _c_outcome(branch.records)
             distribution[outcome] = branch.probability
             amplitudes[outcome] = branch.amplitude
-            projector = np.outer(branch.vector.amplitudes, branch.vector.amplitudes.conj())
-            c_branches.append(_audited_c_branch(outcome, branch.probability, projector))
+            c_branches.append(_audited_c_branch(plan, outcome, branch.probability, branch.vector))
     else:
         # No collapse anywhere: audit every jointly possible outcome, whose
-        # eigenspace projectors are state-independent.
-        for outcome in contextuality.valid_c_triples():
-            projector = np.eye(post_b.dim, dtype=complex)
-            for obs, value in zip(frame.c_observables, outcome):
-                projector = projector @ obs.projector(value)
-            c_branches.append(_audited_c_branch(tuple(outcome), None, projector))
+        # eigenspaces are state-independent.
+        for space in plan.c_basis.spaces:
+            c_branches.append(_audited_c_branch(plan, _c_outcome(space.records), None, space.vector))
 
     a_parity_even = all(
         record.outcomes["A1"] * record.outcomes["A2"] * record.outcomes["A3"] == +1
@@ -513,8 +576,7 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     )
     contradiction = bool(c_branches) and all(b.contradiction for b in c_branches) and a_parity_even
 
-    square_report = contextuality.verify_square_constraints(frame.square)
-    square_constraints = {line.line: line.value for line in square_report.lines}
+    square_constraints = {line.line: line.value for line in plan.square.lines}
 
     observed = ("A", "B", "C") if stage_c.mode == "projective" else ("A", "B")
     report = RunReport(
@@ -537,10 +599,13 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     return replace(report, factorization=signalling_factorization_check(report))
 
 
-def _audited_c_branch(outcome, probability, projector) -> CBranch:
-    verdict = contextuality.retrodict_from_c(outcome)
-    consistent = contextuality.c_outcome_consistent(outcome)
-    return CBranch(outcome, probability, projector, verdict, not consistent)
+def _c_outcome(records: dict[str, int]) -> tuple[int, int, int]:
+    return (records["C1"], records["C2"], records["C3"])
+
+
+def _audited_c_branch(plan: PMPlan, outcome, probability, vector) -> CBranch:
+    verdict, contradiction = plan.c_audits[outcome]
+    return CBranch(outcome, probability, vector, verdict, contradiction)
 
 
 def signalling_factorization_check(report: RunReport, flags=None) -> FactorizationVerdict:
@@ -548,27 +613,25 @@ def signalling_factorization_check(report: RunReport, flags=None) -> Factorizati
 
     A fresh record qubit is appended and flipped inside each audited branch
     whose flag is set; the Schmidt spectrum across (record | everything else)
-    then decides whether the record factorizes.  Passing explicit flags allows
-    probing corrupted (branch-dependent) records.
+    then decides whether the record factorizes.  The two Schmidt columns are
+    the unflipped part psi - F psi and the flipped part F psi, where F is the
+    sum of the flagged branches' rank-1 projectors.  Passing explicit flags
+    allows probing corrupted (branch-dependent) records.
     """
     if report.final_state is None or not report.c_branches:
         raise ValueError("factorization check needs a completed square-protocol report")
-    state = report.final_state
+    psi = report.final_state.amplitudes
     if flags is None:
         flags = [branch.contradiction for branch in report.c_branches]
     if len(flags) != len(report.c_branches):
         raise ValueError("one flag per audited branch required")
-    dim = state.dim
-    lifted = np.zeros((dim * 2, dim * 2), dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    covered = np.zeros((dim, dim), dtype=complex)
+    flipped = np.zeros_like(psi)
     for branch, flag in zip(report.c_branches, flags):
-        lifted += np.kron(branch.projector, flip if flag else eye2)
-        covered += branch.projector
-    lifted += np.kron(np.eye(dim) - covered, eye2)
-    combined = lifted @ np.kron(state.amplitudes, np.array([1, 0], dtype=complex))
-    singular = np.linalg.svd(combined.reshape(dim, 2), compute_uv=False)
+        if flag:
+            vector = branch.vector.amplitudes
+            flipped += vector * np.vdot(vector, psi)
+    combined = np.column_stack((psi - flipped, flipped))
+    singular = np.linalg.svd(combined, compute_uv=False)
     rank = int(np.sum(singular > SCHMIDT_TOL))
     return FactorizationVerdict(rank, tuple(float(s) for s in singular), rank == 1)
 

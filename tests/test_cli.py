@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wignerlab import cli, scenarios
-from wignerlab.cli import ConfigError, emit_report, parse_report, parse_state
+from wignerlab.cli import ConfigError, emit_report, parse_state
 from wignerlab.qsim import InvariantError
 
 
@@ -49,6 +49,13 @@ class TestStateParsing:
         with pytest.raises(ConfigError, match="not a Bell name"):
             parse_state("sideways")
 
+    @pytest.mark.parametrize(
+        "spec", ["[NaN, 0, 0, 1]", "[Infinity, 0, 0, 0]", [[1, float("nan")], 0, 0, 0]]
+    )
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_state(spec)
+
 
 class TestHardyCommand:
     def test_summary_and_report(self, tmp_path, capsys):
@@ -61,7 +68,7 @@ class TestHardyCommand:
         assert "P(A=-1,B=-1) = 0.0833333333" in printed
         assert "(= 1/12)" in printed
         assert "CONTRADICTION" in printed
-        doc = parse_report(out.read_text())
+        doc = json.loads(out.read_text())
         assert doc["kind"] == "hardy"
         assert doc["joint"]["distribution"]["--"] == pytest.approx(1 / 12, abs=1e-14)
         assert doc["epistemic"]["violation"]["step"] == 1
@@ -119,7 +126,7 @@ class TestSweepCommand:
         )
         assert status == 0
         assert "contradictions: 5/5" in capsys.readouterr().out
-        doc = parse_report(out.read_text())
+        doc = json.loads(out.read_text())
         assert doc["contradictions"] == 5
         assert len(doc["runs"]) == 5
 
@@ -205,6 +212,32 @@ class TestExitCodes:
         assert status == 3
         assert "invariant breach" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--seed", "-1"], {}),
+            ([], {"runs": "3"}),
+            ([], {"runs": True}),
+            ([], {"seed": 2.5}),
+            ([], {"out": 7}),
+            (["--scenario", "peres-mermin", "--state", "[NaN, 0, 0, 1]"], {}),
+            (["--out", "{blocker}/sweep.txt"], {}),
+        ],
+        ids=[
+            "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "nan-state",
+            "out-under-file",
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, flags, config):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        path = tmp_path / "run.json"
+        doc = {"scenario": "pm-sweep", "runs": 1, "out": str(tmp_path / "r.txt")}
+        path.write_text(json.dumps({**doc, **config}))
+        argv = ["--config", str(path)] + [f.replace("{blocker}", str(blocker)) for f in flags]
+        assert run_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_output_dir_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
         status = run_main(["--scenario", "hardy"])
@@ -219,12 +252,12 @@ class TestEmission:
         )
         doc = scenarios.report_to_dict(report)
         text = emit_report(doc, "structured")
-        assert parse_report(text) == doc
+        assert json.loads(text) == doc
 
     def test_roundtrip_preserves_float_bits(self):
         report = scenarios.run_fr_protocol(scenarios.build_hardy_scenario())
         doc = scenarios.report_to_dict(report)
-        recovered = parse_report(emit_report(doc, "structured"))
+        recovered = json.loads(emit_report(doc, "structured"))
         original = doc["joint"]["amplitudes"]["--"]
         parsed = recovered["joint"]["amplitudes"]["--"]
         assert parsed[0] == original[0] and parsed[1] == original[1]

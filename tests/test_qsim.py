@@ -13,13 +13,17 @@ from wignerlab.qsim import (
     branch_decompose,
     expectation,
     identity_observable,
+    joint_eigenbasis,
     measure_projective,
     normalized_state,
     pauli_observable,
     product_observable,
+    project_branches,
     random_state,
     tensor_product,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 SEED = 1207
 
@@ -54,6 +58,11 @@ class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(qsim.InvariantError):
             StateVector(QubitRegister(("a",)), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amps", [[NAN, 0, 0, 0], [INF, 0, 0, 0], [1, 0, 0, complex(0, NAN)]])
+    def test_non_finite_rejected(self, amps):
+        with pytest.raises(qsim.InvariantError, match="finite"):
+            StateVector(QubitRegister(("a", "b")), np.array(amps, dtype=complex))
 
     def test_reorder_roundtrip(self):
         rng = np.random.default_rng(SEED)
@@ -119,6 +128,12 @@ class TestApplyOperator:
         state = basis_state(QubitRegister(("a",)), "0")
         with pytest.raises(ValueError, match="not unitary"):
             apply_operator(state, np.array([[1, 0], [0, 2.0]]), ["a"])
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_rejects_non_finite(self, value):
+        state = basis_state(QubitRegister(("a",)), "0")
+        with pytest.raises(ValueError, match="finite"):
+            apply_operator(state, np.full((2, 2), value), ["a"])
 
     def test_rejects_unknown_target(self):
         state = basis_state(QubitRegister(("a",)), "0")
@@ -254,6 +269,25 @@ class TestBranchDecompose:
         for b in branches:
             assert abs(b.amplitude - 1 / np.sqrt(3)) < 1e-12
 
+    def test_fixed_eigenbasis_matches_fresh_decomposition(self):
+        rng = np.random.default_rng(SEED)
+        reg = QubitRegister(("a", "b", "c"))
+        family = [pauli_observable("X", "a"), pauli_observable("Z", "c")]  # b degenerate
+        basis = joint_eigenbasis(reg, family)
+        assert [space.vector is None for space in basis.spaces] == [True] * 4
+        for _ in range(50):
+            state = random_state(reg, rng)
+            fresh = branch_decompose(state, family)
+            reused = project_branches(state, basis)
+            assert [b.records for b in reused] == [b.records for b in fresh]
+            assert [b.amplitude for b in reused] == [b.amplitude for b in fresh]
+
+    def test_eigenbasis_register_must_match_state(self):
+        basis = joint_eigenbasis(QubitRegister(("a", "b")), [pauli_observable("Z", "a")])
+        state = basis_state(QubitRegister(("b", "a")), "00")
+        with pytest.raises(ValueError, match="eigenbasis register"):
+            project_branches(state, basis)
+
 
 class TestSpectralObservable:
     def test_spectral_resolution(self):
@@ -266,6 +300,12 @@ class TestSpectralObservable:
         proj = np.array([[1, 0], [0, 0]], dtype=complex)
         with pytest.raises(qsim.InvariantError, match="orthogonal"):
             SpectralObservable(QubitRegister(("a",)), ((+1, proj), (-1, proj)))
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_projector_rejected(self, value):
+        proj = np.array([[1, 0], [0, value]], dtype=complex)
+        with pytest.raises(qsim.InvariantError, match="not finite"):
+            SpectralObservable(QubitRegister(("a",)), ((+1, proj),))
 
     def test_embedding_preserves_action(self):
         rng = np.random.default_rng(SEED)
