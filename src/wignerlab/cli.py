@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import epistemic, scenarios
-from .qsim import InvariantError, StateVector, normalized_state
+from .qsim import InvariantError, StateVector, basis_state, normalized_state
 
 CONFIG_SCHEMA = "wignerlab-config/1"
 OUTPUT_DIR_ENV = "WIGNERLAB_OUTPUT_DIR"
@@ -61,6 +61,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
+
+    @property
+    def c_mode(self) -> str:
+        """The square protocol's C-stage mode for `mode`."""
+        return "projective" if self.mode == "projective" else "expectation-only"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,8 +132,6 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
         if spec in scenarios.BELL_AMPLITUDES:
             return scenarios.bell_state(spec)
         if len(spec) == 2 and set(spec) <= {"0", "1"}:
-            from .qsim import basis_state
-
             return basis_state(register, spec)
         try:
             listed = json.loads(spec)
@@ -258,20 +261,24 @@ def _hardy_epistemic_audit(report) -> dict:
     return doc
 
 
+PARITY_NAMES = {+1: "even", -1: "odd"}
+
+
 def _pm_run_summary(report, out):
     cs = ", ".join(
         f"{line}={value:+.0f}" for line, value in sorted(report.square_constraints.items())
     )
     print(f"square constraints: {cs}", file=out)
-    if report.joint_distribution:
-        for outcome, prob in sorted(report.joint_distribution.items()):
-            key = "".join("+" if v > 0 else "-" for v in outcome)
-            print(f"P(C={key}) = {_decimal_and_rational(prob)}", file=out)
+    for outcome, prob in sorted(report.joint_distribution.items()):
+        print(f"P(C={scenarios._outcome_key(outcome)}) = {_decimal_and_rational(prob)}", file=out)
+    product = report.expectations["C1*C2*C3"]
     parity = "even" if report.a_parity_even else "odd"
+    names = {PARITY_NAMES.get(b.retrodiction.required_a_parity, "mixed") for b in report.c_branches}
+    retrodicted = names.pop() if len(names) == 1 else "mixed"
     verdict = "CONTRADICTION" if report.contradiction else "consistent"
     print(
-        f"C constraint: c1*c2*c3 = -1; A parity: {parity}; "
-        f"retrodicted A parity: odd; {verdict}",
+        f"C constraint: c1*c2*c3 = {product:+.0f}; A parity: {parity}; "
+        f"retrodicted A parity: {retrodicted}; {verdict}",
         file=out,
     )
     print(f"factorization: Schmidt rank {report.factorization.schmidt_rank}", file=out)
@@ -279,13 +286,12 @@ def _pm_run_summary(report, out):
 
 def _run_pm(config: RunConfig, out):
     state = parse_state(config.state) if config.state else scenarios.bell_state("phi+")
-    mode = "projective" if config.mode == "projective" else "expectation-only"
-    scenario = scenarios.build_pm_scenario(state, c_mode=mode)
+    scenario = scenarios.build_pm_scenario(state, c_mode=config.c_mode)
     report = scenarios.run_pm_protocol(scenario)
     doc = scenarios.report_to_dict(report)
     doc["epistemic"] = [
         {
-            "outcome": "".join("+" if v > 0 else "-" for v in audit.c),
+            "outcome": scenarios._outcome_key(audit.c),
             "required_a_parity": audit.required_a_parity,
             "parity_derivable": audit.parity_derivable,
             "bindings_refused": audit.all_bindings_refused,
@@ -294,14 +300,13 @@ def _run_pm(config: RunConfig, out):
             epistemic.pm_epistemic_audit(branch.outcome) for branch in report.c_branches
         )
     ]
-    print(f"scenario: peres-mermin (C stage: {mode})", file=out)
+    print(f"scenario: peres-mermin (C stage: {config.c_mode})", file=out)
     _pm_run_summary(report, out)
     return doc
 
 
 def _run_sweep(config: RunConfig, out):
-    mode = "projective" if config.mode == "projective" else "expectation-only"
-    reports = scenarios.pm_random_sweep(count=config.runs, seed=config.seed, c_mode=mode)
+    reports = scenarios.pm_random_sweep(count=config.runs, seed=config.seed, c_mode=config.c_mode)
     contradictions = sum(1 for r in reports if r.contradiction)
     rank_one = sum(1 for r in reports if r.factorization.schmidt_rank == 1)
     doc = {
@@ -309,7 +314,7 @@ def _run_sweep(config: RunConfig, out):
         "kind": "pm-sweep",
         "seed": config.seed,
         "count": config.runs,
-        "c_mode": mode,
+        "c_mode": config.c_mode,
         "contradictions": contradictions,
         "factorization_rank_one": rank_one,
         "runs": [scenarios.report_to_dict(r) for r in reports],

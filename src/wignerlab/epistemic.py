@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import contextuality
+from .qsim import InvariantError
+
 SIGNS = (+1, -1)
 
 
@@ -406,13 +409,14 @@ def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
     Each c_i is the correlational fact "A_i and B_i agree iff c_i = +1".  Two
     of these are recorded (the third is their product under the column
     constraint, so it costs no extra bit).  The parity of A's outcomes is
-    derivable from the correlations alone; attaching a definite value to any
-    single A_i or B_i requires an anchor the ledger cannot hold at the
-    default capacity, so every such binding is refused.
+    derived from the correlations the ledger holds, and cross-checked against
+    the exhaustive retrodiction; a ledger too small for both leaves it
+    underivable (0).  Attaching a definite value to any single A_i or B_i
+    requires an anchor the ledger cannot hold at the default capacity, so
+    every such binding is refused.
     """
     c = tuple(int(v) for v in c)
-    parity = c[0] * c[1] * c[2]
-    if parity != -1:
+    if c[0] * c[1] * c[2] != -1:
         raise ValueError(f"C triple {c} violates the column constraint c1*c2*c3 = -1")
     correlations = {
         1: CorrelationFact("A1", "B1", c[0]),
@@ -421,14 +425,21 @@ def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
     }
     ledger = KnowledgeLedger(capacity)
     for row in (1, 2):
-        demand = ledger.record(correlations[row])
-        if demand is not None:
-            raise ValueError(f"capacity {capacity} cannot hold the two correlational facts")
+        ledger.record(correlations[row])  # a full ledger refuses the fact
+    held = [correlations[row] for row in (1, 2) if ledger.holds(correlations[row])]
+    parity_derivable = len(held) == 2
 
     # parity(A) = parity(B) * (c1*c2*c3); with B's column constraint (+1) this
-    # pins A's parity to the product of the correlations, i.e. odd.
-    required_a_parity = parity
-    parity_derivable = True
+    # pins A's parity to the two held correlations times the row-3 value.
+    required_a_parity = 0
+    if parity_derivable:
+        required_a_parity = held[0].value * held[1].value * correlations[3].value
+        retrodicted = contextuality.retrodict_from_c(c).required_a_parity
+        if required_a_parity != retrodicted:
+            raise InvariantError(
+                f"ledger parity {required_a_parity:+d} for C triple {c} disagrees with "
+                f"the retrodicted parity {retrodicted:+d}"
+            )
 
     # 12 attempts: anchor each of A1..A3, B1..B3 with each sign and try to
     # conclude the row partner's value.  Row 3's correlation is the product of

@@ -62,20 +62,50 @@ class Implication:
 
 
 @dataclass(frozen=True)
-class Recording:
-    """A friend measurement: which observable goes into which memory qubit."""
-
-    name: str
-    mem: MemoryAssignment
-    readout: SpectralObservable
+class BranchRecord:
+    outcomes: dict[str, int]
+    amplitude: complex
+    probability: float
 
 
 @dataclass(frozen=True)
-class Stage:
+class FriendStage:
+    """One agent's friend measurements, compiled once with the frame.
+
+    `unitaries` are the (targets, friend unitary) pairs in the order they are
+    applied; the records are read off the joint eigenbasis of the agent's
+    record readouts, and `derived` maps an extra record name to the pair of
+    record names whose product defines it.
+    """
+
     agent: str
-    mode: str  # "unitary-friend" | "projective" | "expectation-only"
-    recordings: tuple[Recording, ...] = ()
-    observables: tuple[SpectralObservable, ...] = ()
+    unitaries: tuple[tuple[tuple[str, ...], np.ndarray], ...]
+    names: tuple[str, ...]
+    derived: dict[str, tuple[str, str]]
+    basis: JointEigenbasis
+
+    def run(self, state: StateVector) -> tuple[StateVector, tuple[BranchRecord, ...]]:
+        """Apply the friend unitaries, then read every branch's records."""
+        for targets, unitary in self.unitaries:
+            state = apply_operator(state, unitary, targets)
+        records = []
+        for branch in project_branches(state, self.basis):
+            outcomes = {name: branch.records[name] for name in self.names}
+            for extra, (left, right) in self.derived.items():
+                outcomes[extra] = outcomes[left] * outcomes[right]
+            records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
+        return state, tuple(records)
+
+
+def friend_stage(agent: str, register: QubitRegister, mems, readouts, derived=None) -> FriendStage:
+    """Compile an agent's memories (in application order) and their record readouts."""
+    return FriendStage(
+        agent,
+        tuple((mem.targets, friend_unitary(mem)) for mem in mems),
+        tuple(obs.name for obs in readouts),
+        dict(derived or {}),
+        joint_eigenbasis(register, readouts),
+    )
 
 
 @dataclass(frozen=True)
@@ -87,10 +117,20 @@ class HardyFrame:
     wigner_b: SpectralObservable
     friend_a: SpectralObservable
     friend_b: SpectralObservable
+    friends: FriendStage
+    wigner_basis: JointEigenbasis
 
 
 @dataclass(frozen=True)
 class PMFrame:
+    """The square protocol's operators and everything a run reads that depends only on them.
+
+    Besides the observables, the frame holds the A and B friend stages, the C
+    stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
+    C1*C2*C3 product observable, the square-constraint report, and the
+    retrodiction verdict and contradiction flag of each valid C triple.
+    """
+
     register: QubitRegister
     mems: dict
     readouts: dict
@@ -98,24 +138,20 @@ class PMFrame:
     square: tuple[tuple[SpectralObservable, ...], ...]
     double1: DoubleLift
     double2: DoubleLift
+    stages: tuple[FriendStage, ...]
+    c_basis: JointEigenbasis
+    c_product: SpectralObservable
+    square_report: contextuality.SquareReport
+    c_audits: dict[tuple[int, int, int], tuple[contextuality.RetrodictionVerdict, bool]]
 
 
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    register: QubitRegister
     system_state: StateVector
     initial_state: StateVector
-    stages: tuple[Stage, ...]
-    frame: object
-    plan: PMPlan | None = None
-
-
-@dataclass(frozen=True)
-class BranchRecord:
-    outcomes: dict[str, int]
-    amplitude: complex
-    probability: float
+    frame: HardyFrame | PMFrame
+    c_mode: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,49 +163,6 @@ class CBranch:
     vector: StateVector
     retrodiction: contextuality.RetrodictionVerdict
     contradiction: bool
-
-
-@dataclass(frozen=True)
-class StageReadout:
-    """Joint eigenbasis of a stage's record readouts, compiled once.
-
-    Qubits no readout touches are resolved in Z.  `derived` maps an extra
-    record name to the pair of record names whose product defines it.
-    """
-
-    names: tuple[str, ...]
-    derived: dict[str, tuple[str, str]]
-    basis: JointEigenbasis
-
-    def records(self, state: StateVector) -> list[BranchRecord]:
-        records = []
-        for branch in project_branches(state, self.basis):
-            outcomes = {name: branch.records[name] for name in self.names}
-            for extra, (left, right) in self.derived.items():
-                outcomes[extra] = outcomes[left] * outcomes[right]
-            records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
-        return records
-
-
-@dataclass(frozen=True)
-class PMPlan:
-    """Everything a square-protocol run reads that depends only on the frame.
-
-    Compiled once with the frame: the friend unitaries (keyed by memory
-    label), the joint eigenbases of the A, B and C stages, the C1*C2*C3
-    product observable, the square-constraint report, and the retrodiction
-    verdict and contradiction flag of each valid C triple.  The B and C
-    eigenspaces are rank 1; the A readouts leave the B memories free, so
-    their four eigenspaces are rank 4 and each state is projected onto them.
-    """
-
-    unitaries: dict[str, np.ndarray]
-    a_readout: StageReadout
-    b_readout: StageReadout
-    c_basis: JointEigenbasis
-    c_product: SpectralObservable
-    square: contextuality.SquareReport
-    c_audits: dict[tuple[int, int, int], tuple[contextuality.RetrodictionVerdict, bool]]
 
 
 @dataclass(frozen=True)
@@ -233,16 +226,20 @@ def hardy_state(register: QubitRegister = HARDY_SYSTEM) -> StateVector:
 def build_hardy_frame() -> HardyFrame:
     mem_a = MemoryAssignment("fA", pauli_observable("Z", "sA", "ZA"))
     mem_b = MemoryAssignment("fB", pauli_observable("Z", "sB", "ZB"))
-    wigner_a, _ = lift_observable(mem_a, name="A")
-    wigner_b, _ = lift_observable(mem_b, name="B")
+    wigner_a = lift_observable(mem_a, name="A")[0].embedded(HARDY_REGISTER)
+    wigner_b = lift_observable(mem_b, name="B")[0].embedded(HARDY_REGISTER)
+    friend_a = record_observable(mem_a, "FA").embedded(HARDY_REGISTER)
+    friend_b = record_observable(mem_b, "FB").embedded(HARDY_REGISTER)
     return HardyFrame(
         register=HARDY_REGISTER,
         mem_a=mem_a,
         mem_b=mem_b,
-        wigner_a=wigner_a.embedded(HARDY_REGISTER),
-        wigner_b=wigner_b.embedded(HARDY_REGISTER),
-        friend_a=record_observable(mem_a, "FA").embedded(HARDY_REGISTER),
-        friend_b=record_observable(mem_b, "FB").embedded(HARDY_REGISTER),
+        wigner_a=wigner_a,
+        wigner_b=wigner_b,
+        friend_a=friend_a,
+        friend_b=friend_b,
+        friends=friend_stage("friends", HARDY_REGISTER, (mem_a, mem_b), (friend_a, friend_b)),
+        wigner_basis=joint_eigenbasis(HARDY_REGISTER, (wigner_a, wigner_b)),
     )
 
 
@@ -258,18 +255,7 @@ def build_hardy_scenario(system_state: StateVector | None = None) -> Scenario:
         raise ValueError("Hardy scenario needs a 2-qubit system state")
     system = StateVector(HARDY_SYSTEM, system.amplitudes)
     initial = tensor_product([system, basis_state(QubitRegister(("fA", "fB")), "00")])
-    stages = (
-        Stage(
-            "friends",
-            "unitary-friend",
-            recordings=(
-                Recording("FA", frame.mem_a, frame.friend_a),
-                Recording("FB", frame.mem_b, frame.friend_b),
-            ),
-        ),
-        Stage("wigners", "projective", observables=(frame.wigner_a, frame.wigner_b)),
-    )
-    return Scenario("hardy", HARDY_REGISTER, system, initial, stages, frame)
+    return Scenario("hardy", system, initial, frame)
 
 
 def extract_implications(state: StateVector, observables) -> list[Implication]:
@@ -320,28 +306,6 @@ def chain_inferences(implications, seed: tuple[str, int]) -> ChainResult:
     return ChainResult(tuple(seed), tuple(conclusions), tuple(steps))
 
 
-def _apply_friend_stage(state: StateVector, stage: Stage, unitaries: dict) -> StateVector:
-    """Apply each recording's friend unitary, looked up by memory label."""
-    for recording in stage.recordings:
-        state = apply_operator(state, unitaries[recording.mem.memory], recording.mem.targets)
-    return state
-
-
-def stage_readout(register: QubitRegister, readouts, derived: dict | None = None) -> StageReadout:
-    """Compile a stage's record readouts into a joint eigenbasis on `register`."""
-    covered = set()
-    for obs in readouts:
-        covered.update(obs.register.labels)
-    fills = [
-        pauli_observable("Z", label, f"fill:{label}").embedded(register)
-        for label in register.labels
-        if label not in covered
-    ]
-    names = tuple(obs.name for obs in readouts)
-    basis = joint_eigenbasis(register, list(readouts) + fills)
-    return StageReadout(names, dict(derived or {}), basis)
-
-
 def run_fr_protocol(scenario: Scenario) -> RunReport:
     """Run the two-Wigner protocol and assemble the narrative report.
 
@@ -353,13 +317,8 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
     if scenario.kind != "hardy":
         raise ValueError(f"expected a hardy scenario, got {scenario.kind!r}")
     frame: HardyFrame = scenario.frame
-    friends = scenario.stages[0]
-    unitaries = {rec.mem.memory: friend_unitary(rec.mem) for rec in friends.recordings}
-    post_friends = _apply_friend_stage(scenario.initial_state, friends, unitaries)
-
-    readout = stage_readout(post_friends.register, (frame.friend_a, frame.friend_b))
-    friend_records = readout.records(post_friends)
-    wigner_branches = branch_decompose(post_friends, (frame.wigner_a, frame.wigner_b))
+    post_friends, friend_records = frame.friends.run(scenario.initial_state)
+    wigner_branches = project_branches(post_friends, frame.wigner_basis)
     joint_labels = ("A", "B")
     distribution: dict[tuple[int, int], float] = {}
     amplitudes: dict[tuple[int, int], complex] = {}
@@ -380,9 +339,9 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
     return RunReport(
         kind="hardy",
         c_mode=None,
-        register_labels=scenario.register.labels,
+        register_labels=frame.register.labels,
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
-        stage_records={"friends": tuple(friend_records)},
+        stage_records={frame.friends.agent: friend_records},
         joint_labels=joint_labels,
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
@@ -456,6 +415,13 @@ def build_pm_frame() -> PMFrame:
         "B1": record_observable(mem_b2, "B1").embedded(register),
         "B2": record_observable(mem_b1, "B2").embedded(register),
     }
+    # The C stage must split into exactly the four valid C triples, each a
+    # rank-1 joint eigenspace; both C modes then audit the same fixed vectors.
+    c_basis = joint_eigenbasis(register, (c1, c2, c3))
+    outcomes = [_c_outcome(space.records) for space in c_basis.spaces]
+    rank_one = all(space.vector is not None for space in c_basis.spaces)
+    if outcomes != contextuality.valid_c_triples() or not rank_one:
+        raise InvariantError(f"C stage eigenspaces {outcomes} are not the four rank-1 valid triples")
     return PMFrame(
         register=register,
         mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},
@@ -464,30 +430,17 @@ def build_pm_frame() -> PMFrame:
         square=square,
         double1=double1,
         double2=double2,
-    )
-
-
-@functools.cache
-def build_pm_plan() -> PMPlan:
-    """Compile the state-independent part of every square-protocol run.
-
-    The C stage must split into exactly the four valid C triples, each a
-    rank-1 joint eigenspace; both C modes then audit the same fixed vectors.
-    """
-    frame = build_pm_frame()
-    register, readouts = frame.register, frame.readouts
-    c_basis = joint_eigenbasis(register, frame.c_observables)
-    outcomes = [_c_outcome(space.records) for space in c_basis.spaces]
-    rank_one = all(space.vector is not None for space in c_basis.spaces)
-    if outcomes != contextuality.valid_c_triples() or not rank_one:
-        raise InvariantError(f"C stage eigenspaces {outcomes} are not the four rank-1 valid triples")
-    return PMPlan(
-        unitaries={label: friend_unitary(mem) for label, mem in frame.mems.items()},
-        a_readout=stage_readout(register, (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}),
-        b_readout=stage_readout(register, (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}),
+        stages=(
+            friend_stage(
+                "A", register, (mem_a1, mem_a2), (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}
+            ),
+            friend_stage(
+                "B", register, (mem_b2, mem_b1), (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}
+            ),
+        ),
         c_basis=c_basis,
-        c_product=product_observable(frame.c_observables, "C1*C2*C3"),
-        square=contextuality.verify_square_constraints(frame.square),
+        c_product=product_observable((c1, c2, c3), "C1*C2*C3"),
+        square_report=contextuality.verify_square_constraints(square),
         c_audits={
             c: (contextuality.retrodict_from_c(c), not contextuality.c_outcome_consistent(c))
             for c in outcomes
@@ -501,30 +454,10 @@ def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scena
         raise ValueError(f"c_mode must be 'projective' or 'expectation-only', got {c_mode!r}")
     if initial.register.size != 2:
         raise ValueError("the square protocol needs a 2-qubit initial state")
-    frame = build_pm_frame()
     system = StateVector(PM_SYSTEM, initial.amplitudes)
     memories = basis_state(QubitRegister(("a1", "a2", "b1", "b2")), "0000")
     full = tensor_product([system, memories])
-    stages = (
-        Stage(
-            "A",
-            "unitary-friend",
-            recordings=(
-                Recording("A1", frame.mems["a1"], frame.readouts["A1"]),
-                Recording("A2", frame.mems["a2"], frame.readouts["A2"]),
-            ),
-        ),
-        Stage(
-            "B",
-            "unitary-friend",
-            recordings=(
-                Recording("B1", frame.mems["b2"], frame.readouts["B1"]),
-                Recording("B2", frame.mems["b1"], frame.readouts["B2"]),
-            ),
-        ),
-        Stage("C", c_mode, observables=frame.c_observables),
-    )
-    return Scenario("peres-mermin", PM_REGISTER, system, full, stages, frame, build_pm_plan())
+    return Scenario("peres-mermin", system, full, build_pm_frame(), c_mode)
 
 
 def run_pm_protocol(scenario: Scenario) -> RunReport:
@@ -534,57 +467,55 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     odd number of -1 outcomes for the innermost agent, whose own records
     always carry an even number: the contradiction flag is set per branch by
     exhaustive assignment search and holds on every run.  Everything that
-    depends only on the frame comes precompiled from `scenario.plan`.
+    depends only on the operators comes precompiled with `scenario.frame`.
     """
     if scenario.kind != "peres-mermin":
         raise ValueError(f"expected a peres-mermin scenario, got {scenario.kind!r}")
     frame: PMFrame = scenario.frame
-    plan = scenario.plan
-    stage_a, stage_b, stage_c = scenario.stages
-
-    post_a = _apply_friend_stage(scenario.initial_state, stage_a, plan.unitaries)
-    a_records = plan.a_readout.records(post_a)
-    post_b = _apply_friend_stage(post_a, stage_b, plan.unitaries)
-    b_records = plan.b_readout.records(post_b)
+    state = scenario.initial_state
+    stage_records = {}
+    for stage in frame.stages:
+        state, stage_records[stage.agent] = stage.run(state)
 
     c1, c2, c3 = frame.c_observables
     expectations = {
-        "C1": expectation(post_b, c1),
-        "C2": expectation(post_b, c2),
-        "C3": expectation(post_b, c3),
-        "C1*C2*C3": expectation(post_b, plan.c_product),
+        "C1": expectation(state, c1),
+        "C2": expectation(state, c2),
+        "C3": expectation(state, c3),
+        "C1*C2*C3": expectation(state, frame.c_product),
     }
 
     c_branches = []
     distribution: dict[tuple[int, ...], float] = {}
     amplitudes: dict[tuple[int, ...], complex] = {}
-    if stage_c.mode == "projective":
-        for branch in project_branches(post_b, plan.c_basis):
+    projective = scenario.c_mode == "projective"
+    if projective:
+        for branch in project_branches(state, frame.c_basis):
             outcome = _c_outcome(branch.records)
             distribution[outcome] = branch.probability
             amplitudes[outcome] = branch.amplitude
-            c_branches.append(_audited_c_branch(plan, outcome, branch.probability, branch.vector))
+            c_branches.append(_audited_c_branch(frame, outcome, branch.probability, branch.vector))
     else:
         # No collapse anywhere: audit every jointly possible outcome, whose
         # eigenspaces are state-independent.
-        for space in plan.c_basis.spaces:
-            c_branches.append(_audited_c_branch(plan, _c_outcome(space.records), None, space.vector))
+        for space in frame.c_basis.spaces:
+            c_branches.append(_audited_c_branch(frame, _c_outcome(space.records), None, space.vector))
 
     a_parity_even = all(
         record.outcomes["A1"] * record.outcomes["A2"] * record.outcomes["A3"] == +1
-        for record in a_records
+        for record in stage_records["A"]
     )
     contradiction = bool(c_branches) and all(b.contradiction for b in c_branches) and a_parity_even
 
-    square_constraints = {line.line: line.value for line in plan.square.lines}
+    square_constraints = {line.line: line.value for line in frame.square_report.lines}
 
-    observed = ("A", "B", "C") if stage_c.mode == "projective" else ("A", "B")
+    observed = ("A", "B", "C") if projective else ("A", "B")
     report = RunReport(
         kind="peres-mermin",
-        c_mode=stage_c.mode,
-        register_labels=scenario.register.labels,
+        c_mode=scenario.c_mode,
+        register_labels=frame.register.labels,
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
-        stage_records={"A": tuple(a_records), "B": tuple(b_records)},
+        stage_records=stage_records,
         joint_labels=("C1", "C2", "C3"),
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
@@ -594,7 +525,7 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
         a_parity_even=a_parity_even,
         contradiction=contradiction,
         signalling=Signalling(observed, contradiction),
-        final_state=post_b,
+        final_state=state,
     )
     return replace(report, factorization=signalling_factorization_check(report))
 
@@ -603,8 +534,8 @@ def _c_outcome(records: dict[str, int]) -> tuple[int, int, int]:
     return (records["C1"], records["C2"], records["C3"])
 
 
-def _audited_c_branch(plan: PMPlan, outcome, probability, vector) -> CBranch:
-    verdict, contradiction = plan.c_audits[outcome]
+def _audited_c_branch(frame: PMFrame, outcome, probability, vector) -> CBranch:
+    verdict, contradiction = frame.c_audits[outcome]
     return CBranch(outcome, probability, vector, verdict, contradiction)
 
 
@@ -734,20 +665,3 @@ def report_to_dict(report: RunReport) -> dict:
         }
     return doc
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "schema": "wignerlab-scenario/1",
-        "kind": scenario.kind,
-        "register": list(scenario.register.labels),
-        "system_state": [_complex_pair(z) for z in scenario.system_state.amplitudes],
-        "stages": [
-            {
-                "agent": stage.agent,
-                "mode": stage.mode,
-                "measurements": [rec.name for rec in stage.recordings]
-                or [obs.name for obs in stage.observables],
-            }
-            for stage in scenario.stages
-        ],
-    }

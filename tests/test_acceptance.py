@@ -58,8 +58,8 @@ def test_criterion_02_basis_change_fidelity():
     scenario = scenarios.build_hardy_scenario()
     frame = scenario.frame
     state = scenario.initial_state
-    for rec in scenario.stages[0].recordings:
-        state = apply_operator(state, friend_unitary(rec.mem), rec.mem.targets)
+    for mem in (frame.mem_a, frame.mem_b):
+        state = apply_operator(state, friend_unitary(mem), mem.targets)
 
     def amps(pair):
         return {
@@ -130,9 +130,9 @@ def test_criterion_06_coo_reproduction(pm_frame):
         )
         scenario = scenarios.build_pm_scenario(system)
         state = scenario.initial_state
-        for stage in scenario.stages[:2]:
-            for rec in stage.recordings:
-                state = apply_operator(state, friend_unitary(rec.mem), rec.mem.targets)
+        for label in ("a1", "a2", "b2", "b1"):
+            mem = pm_frame.mems[label]
+            state = apply_operator(state, friend_unitary(mem), mem.targets)
         z_sub = pm_frame.double1.z[1]
         x_sub = pm_frame.double2.x[1]
         target = tensor_product(
@@ -140,7 +140,7 @@ def test_criterion_06_coo_reproduction(pm_frame):
                 z_sub.basis_plus if sz == +1 else z_sub.basis_minus,
                 x_sub.basis_plus if sx == +1 else x_sub.basis_minus,
             ]
-        ).reordered(scenario.register)
+        ).reordered(pm_frame.register)
         assert abs(state.fidelity(target) - 1.0) <= 1e-10
     print("[PASS] criterion 6: post-level-2 state recapitulates the level-1 outcomes, fidelity 1")
 

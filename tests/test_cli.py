@@ -1,6 +1,8 @@
 """Command-line behavior: flags, config files, exit codes, report emission."""
 
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +94,25 @@ class TestPMCommand:
             "C constraint: c1*c2*c3 = -1; A parity: even; "
             "retrodicted A parity: odd; CONTRADICTION" in printed
         )
+
+    @pytest.mark.parametrize(
+        "parities,expected", [((+1,), "even"), ((-1,), "odd"), ((+1, -1), "mixed")]
+    )
+    def test_summary_derives_the_retrodicted_parity(self, parities, expected):
+        report = scenarios.run_pm_protocol(scenarios.build_pm_scenario(scenarios.bell_state("phi+")))
+        branch = report.c_branches[0]
+        branches = tuple(
+            replace(branch, retrodiction=replace(branch.retrodiction, required_a_parity=p))
+            for p in parities
+        )
+        expectations = {**report.expectations, "C1*C2*C3": 1.0}
+        out = io.StringIO()
+        cli._pm_run_summary(replace(report, c_branches=branches, expectations=expectations), out)
+        line = next(s for s in out.getvalue().splitlines() if s.startswith("C constraint:"))
+        assert line.startswith("C constraint: c1*c2*c3 = +1; A parity: even; ")
+        assert f"retrodicted A parity: {expected};" in line
+        if expected != "odd":
+            assert "odd" not in line
 
     def test_text_report_contains_six_constraints(self, tmp_path):
         out = tmp_path / "pm.txt"

@@ -1,13 +1,16 @@
 """Property calculus, bounded ledgers, discharge rules, chain audits."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import contextuality
 from wignerlab import epistemic as ep
 from wignerlab import scenarios
+from wignerlab.qsim import InvariantError
 
 
 class TestPropertyCalculus:
@@ -246,6 +249,20 @@ class TestPMEpistemicAudit:
         # anchoring B1=+1 on c1=-1 concludes A1=-1
         b1_plus = next(b for b in succeeded if b.anchor == ("B1", +1))
         assert (b1_plus.prediction.label, b1_plus.prediction.value) == ("A1", -1)
+
+    def test_disagreeing_retrodiction_is_an_invariant_breach(self, monkeypatch):
+        real = contextuality.retrodict_from_c
+        monkeypatch.setattr(
+            contextuality, "retrodict_from_c", lambda c: replace(real(c), required_a_parity=+1)
+        )
+        with pytest.raises(InvariantError, match="disagrees"):
+            ep.pm_epistemic_audit((+1, +1, -1))
+
+    def test_parity_underivable_when_the_ledger_holds_one_correlation(self):
+        audit = ep.pm_epistemic_audit((+1, +1, -1), capacity=1)
+        assert not audit.parity_derivable
+        assert audit.required_a_parity == 0
+        assert audit.all_bindings_refused
 
     def test_even_c_rejected(self):
         with pytest.raises(ValueError, match="column constraint"):

@@ -238,9 +238,9 @@ class TestLiftedSquare:
             )
             scenario = scenarios.build_pm_scenario(system)
             state = scenario.initial_state
-            for stage in scenario.stages[:2]:
-                for rec in stage.recordings:
-                    state = apply_operator(state, friend_unitary(rec.mem), rec.mem.targets)
+            for label in ("a1", "a2", "b2", "b1"):
+                mem = frame.mems[label]
+                state = apply_operator(state, friend_unitary(mem), mem.targets)
             branches = branch_decompose(state, [readout_z, readout_x])
             assert len(branches) == 1
             assert branches[0].records == {"A1": sz, "A2": sx}

@@ -1,11 +1,11 @@
-"""The compiled square-protocol plan against a dense per-state reference.
+"""The compiled square-protocol frame against a dense per-state reference.
 
 `dense_reference` recomputes a run from scratch for one state: fresh friend
 unitaries, dense joint projectors for every stage, the C1*C2*C3 operator
 product, square verification, retrodiction audits and a 128x128 lifted
 operator for the factorization check.  Beyond the frame's observables it
 shares only `friend_unitary`, the state kernel (`apply_operator`,
-`tensor_product`) and the `contextuality` audits with the plan path.
+`tensor_product`) and the `contextuality` audits with the compiled path.
 """
 
 import itertools
@@ -234,15 +234,15 @@ def test_plan_matches_dense_reference_on_sweep_seed(c_mode):
 
 
 @pytest.fixture
-def fresh_plan():
-    scenarios.build_pm_plan.cache_clear()
+def fresh_frames():
     scenarios.build_pm_frame.cache_clear()
+    scenarios.build_hardy_frame.cache_clear()
     yield
-    scenarios.build_pm_plan.cache_clear()
     scenarios.build_pm_frame.cache_clear()
+    scenarios.build_hardy_frame.cache_clear()
 
 
-def test_sweep_compiles_frame_work_once(monkeypatch, fresh_plan):
+def test_sweep_compiles_frame_work_once(monkeypatch, fresh_frames):
     calls = {"verify_square_constraints": 0, "product_observable": 0, "friend_unitary": 0}
 
     def counted(module, name):
@@ -267,10 +267,15 @@ def test_sweep_compiles_frame_work_once(monkeypatch, fresh_plan):
         "friend_unitary": frame_memories,
     }
 
+    calls["friend_unitary"] = 0
+    for _ in range(2):
+        assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
+    assert calls["friend_unitary"] == 2  # one per Hardy memory, fA and fB
+
 
 @pytest.mark.parametrize("c_mode", MODES)
 def test_c_branches_share_the_plan_vectors(c_mode):
-    plan = scenarios.build_pm_plan()
-    plan_vectors = {id(space.vector) for space in plan.c_basis.spaces}
+    frame = scenarios.build_pm_frame()
+    frame_vectors = {id(space.vector) for space in frame.c_basis.spaces}
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
-        assert {id(branch.vector) for branch in report.c_branches} <= plan_vectors
+        assert {id(branch.vector) for branch in report.c_branches} <= frame_vectors
