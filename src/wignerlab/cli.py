@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +68,9 @@ class RunConfig:
         return "projective" if self.mode == "projective" else "expectation-only"
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerlab",
@@ -103,8 +106,7 @@ def load_config(path: str) -> dict:
     schema = doc.pop("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"{path}: unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}")
-    allowed = {"scenario", "state", "mode", "seed", "runs", "format", "out"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     return doc
@@ -114,7 +116,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in ("scenario", "state", "mode", "seed", "runs", "format", "out"):
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -162,8 +164,8 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
     return normalized_state(register, amps)
 
 
-def as_rational(x: float, max_denominator: int = 144) -> str | None:
-    frac = Fraction(x).limit_denominator(max_denominator)
+def as_rational(x: float) -> str | None:
+    frac = Fraction(x).limit_denominator(144)
     if abs(float(frac) - x) < 1e-9:
         return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 else str(frac.numerator)
     return None

@@ -10,11 +10,12 @@ logical Pauli triple on a two-dimensional subspace of the nested-lab space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qsim import (
+    PAULI_MATRICES,
     STRUCT_TOL,
     InvariantError,
     QubitRegister,
@@ -30,19 +31,21 @@ _KET0 = np.array([1, 0], dtype=complex)
 _KET1 = np.array([0, 1], dtype=complex)
 
 
+def _anchor_pair(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The record-tagged pair |0>|plus>, |1>|minus> (memory qubit first)."""
+    return np.kron(_KET0, plus), np.kron(_KET1, minus)
+
+
 @dataclass(frozen=True)
 class MemoryAssignment:
     """Binding of a dichotomic observable to the memory qubit that records it.
 
-    The memory starts in the plus-record state; a friend measurement flips it
-    to the minus-record state exactly on the -1 eigenspace of the recorded
-    observable.
+    The memory starts in |0>; a friend measurement flips it to |1> exactly on
+    the -1 eigenspace of the recorded observable.
     """
 
     memory: str
     recorded: SpectralObservable
-    plus_record: np.ndarray = field(default_factory=lambda: _KET0.copy())
-    minus_record: np.ndarray = field(default_factory=lambda: _KET1.copy())
 
     def __post_init__(self):
         if self.memory in self.recorded.register:
@@ -51,15 +54,6 @@ class MemoryAssignment:
             )
         if set(self.recorded.eigenvalues) != {+1, -1}:
             raise ValueError(f"recorded observable {self.recorded.name!r} is not dichotomic")
-        plus = np.asarray(self.plus_record, dtype=complex).reshape(2)
-        minus = np.asarray(self.minus_record, dtype=complex).reshape(2)
-        for vec in (plus, minus):
-            if abs(np.linalg.norm(vec) - 1.0) > STRUCT_TOL:
-                raise ValueError("record states must be unit norm")
-        if abs(np.vdot(plus, minus)) > STRUCT_TOL:
-            raise ValueError("record states must be orthogonal")
-        object.__setattr__(self, "plus_record", plus)
-        object.__setattr__(self, "minus_record", minus)
 
     @property
     def register(self) -> QubitRegister:
@@ -75,17 +69,14 @@ def friend_unitary(mem: MemoryAssignment) -> np.ndarray:
     """Unitary copying the recorded observable's eigenbasis tag into the memory qubit.
 
     Acts on mem.register (memory first).  On the +1 eigenspace the memory is
-    untouched, on the -1 eigenspace the record is flipped; outside the recorded
-    observable's support the memory is untouched, which keeps the matrix
-    unitary for rank-deficient recorded observables.
+    untouched, on the -1 eigenspace the record is flipped by Pauli X; outside
+    the recorded observable's support the memory is untouched, which keeps the
+    matrix unitary for rank-deficient recorded observables.
     """
     plus_proj = mem.recorded.projector(+1)
     minus_proj = mem.recorded.projector(-1)
     complement = np.eye(mem.recorded.register.dim, dtype=complex) - plus_proj - minus_proj
-    flip = np.outer(mem.minus_record, mem.plus_record.conj()) + np.outer(
-        mem.plus_record, mem.minus_record.conj()
-    )
-    eye2 = np.eye(2, dtype=complex)
+    eye2, flip = PAULI_MATRICES["I"], PAULI_MATRICES["X"]
     unitary = (
         np.kron(eye2, plus_proj) + np.kron(flip, minus_proj) + np.kron(eye2, complement)
     )
@@ -101,9 +92,7 @@ def record_observable(mem: MemoryAssignment, name: str = "") -> SpectralObservab
     Measuring it on the post-friend state deterministically reproduces the
     friend's recorded outcome.
     """
-    e_plus, e_minus = rank1_eigenstates(mem.recorded)
-    anchor_plus = np.kron(mem.plus_record, e_plus)
-    anchor_minus = np.kron(mem.minus_record, e_minus)
+    anchor_plus, anchor_minus = _anchor_pair(*rank1_eigenstates(mem.recorded))
     return observable_from_eigenvectors(mem.register, anchor_plus, anchor_minus, name)
 
 
@@ -125,25 +114,24 @@ class LogicalSubspace:
         return self.basis_plus.register
 
 
+def _logical_pair(register, plus, minus, name: str) -> tuple[SpectralObservable, LogicalSubspace]:
+    """The observable with eigenvectors plus/minus, and the logical subspace they span."""
+    obs = observable_from_eigenvectors(register, plus, minus, name)
+    return obs, LogicalSubspace(StateVector(register, plus), StateVector(register, minus))
+
+
 def lift_observable(mem: MemoryAssignment, name: str = "") -> tuple[SpectralObservable, LogicalSubspace]:
     """Lift the recorded observable through its memory record.
 
     Returns the conjugate barred observable, with eigenvectors
-    (|m+ e+> +/- |m- e->)/sqrt(2), together with the logical subspace those
-    two vectors span.  The lift of a Z-type observable is therefore an X-type
-    one, and vice versa.
+    (|0 e+> +/- |1 e->)/sqrt(2), together with the logical subspace those two
+    vectors span.  The lift of a Z-type observable is therefore an X-type one,
+    and vice versa.
     """
-    e_plus, e_minus = rank1_eigenstates(mem.recorded)
-    anchor_plus = np.kron(mem.plus_record, e_plus)
-    anchor_minus = np.kron(mem.minus_record, e_minus)
+    anchor_plus, anchor_minus = _anchor_pair(*rank1_eigenstates(mem.recorded))
     basis_plus = (anchor_plus + anchor_minus) / _SQ2
     basis_minus = (anchor_plus - anchor_minus) / _SQ2
-    register = mem.register
-    obs = observable_from_eigenvectors(register, basis_plus, basis_minus, name)
-    subspace = LogicalSubspace(
-        StateVector(register, basis_plus), StateVector(register, basis_minus)
-    )
-    return obs, subspace
+    return _logical_pair(mem.register, basis_plus, basis_minus, name)
 
 
 def logical_pauli(sub: LogicalSubspace, which: str, name: str = "") -> SpectralObservable:
@@ -178,9 +166,6 @@ class DoubleLift:
     z: tuple[SpectralObservable, LogicalSubspace]
     chain_y_phase: complex
 
-    def __getitem__(self, which: str) -> tuple[SpectralObservable, LogicalSubspace]:
-        return {"X": self.x, "Y": self.y, "Z": self.z}[which]
-
 
 def double_lift_basis(
     lifted: LogicalSubspace,
@@ -190,7 +175,7 @@ def double_lift_basis(
 ) -> DoubleLift:
     """Lift a logical subspace through a further memory record.
 
-    The anchor states |m+/- lifted+/-> become the eigenvectors of the doubly
+    The anchor states |0 lifted+>, |1 lifted-> become the eigenvectors of the doubly
     lifted observable named by `anchor` ("X" or "Z"); the conjugate pair
     (anchor+ +/- anchor-)/sqrt(2) names the other one, and the third pair
     (conj+ +/- i conj-)/sqrt(2) is the Y candidate.  The Y orientation is then
@@ -200,21 +185,17 @@ def double_lift_basis(
     """
     if anchor not in ("X", "Z"):
         raise ValueError(f"anchor must be 'X' or 'Z', got {anchor!r}")
-    if mem.memory in lifted.register:
-        raise ValueError(f"memory label {mem.memory!r} collides with the lifted subspace")
-    register = QubitRegister((mem.memory,)) + lifted.register
-    anchor_plus = np.kron(mem.plus_record, lifted.basis_plus.amplitudes)
-    anchor_minus = np.kron(mem.minus_record, lifted.basis_minus.amplitudes)
+    register = QubitRegister((mem.memory,)) + lifted.register  # rejects a colliding memory label
+    anchor_plus, anchor_minus = _anchor_pair(
+        lifted.basis_plus.amplitudes, lifted.basis_minus.amplitudes
+    )
     conj_plus = (anchor_plus + anchor_minus) / _SQ2
     conj_minus = (anchor_plus - anchor_minus) / _SQ2
     raw_y_plus = (conj_plus + 1j * conj_minus) / _SQ2
     raw_y_minus = (conj_plus - 1j * conj_minus) / _SQ2
 
     def _pair(tag: str, plus: np.ndarray, minus: np.ndarray):
-        obs_name = f"{name_prefix}{tag}" if name_prefix else tag
-        obs = observable_from_eigenvectors(register, plus, minus, obs_name)
-        sub = LogicalSubspace(StateVector(register, plus), StateVector(register, minus))
-        return obs, sub
+        return _logical_pair(register, plus, minus, f"{name_prefix}{tag}")
 
     if anchor == "X":
         x_pair = _pair("X", anchor_plus, anchor_minus)

@@ -562,6 +562,8 @@ def project_branches(state: StateVector, basis: JointEigenbasis) -> list[Branch]
         branches.append(Branch(dict(space.records), amplitude, vector))
     if 1.0 - total_weight > SUPPORT_LEAK_TOL:
         raise OutOfSupportError(1.0 - total_weight)
+    if total_weight - 1.0 > SUPPORT_LEAK_TOL:
+        raise InvariantError(f"branches carry total weight {total_weight!r}, above 1")
     return branches
 
 

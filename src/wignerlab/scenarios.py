@@ -34,7 +34,6 @@ from .qsim import (
     StateVector,
     apply_operator,
     basis_state,
-    branch_decompose,
     expectation,
     joint_eigenbasis,
     normalized_state,
@@ -80,7 +79,6 @@ class FriendStage:
 
     agent: str
     unitaries: tuple[tuple[tuple[str, ...], np.ndarray], ...]
-    names: tuple[str, ...]
     derived: dict[str, tuple[str, str]]
     basis: JointEigenbasis
 
@@ -90,7 +88,7 @@ class FriendStage:
             state = apply_operator(state, unitary, targets)
         records = []
         for branch in project_branches(state, self.basis):
-            outcomes = {name: branch.records[name] for name in self.names}
+            outcomes = dict(branch.records)
             for extra, (left, right) in self.derived.items():
                 outcomes[extra] = outcomes[left] * outcomes[right]
             records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
@@ -102,7 +100,6 @@ def friend_stage(agent: str, register: QubitRegister, mems, readouts, derived=No
     return FriendStage(
         agent,
         tuple((mem.targets, friend_unitary(mem)) for mem in mems),
-        tuple(obs.name for obs in readouts),
         dict(derived or {}),
         joint_eigenbasis(register, readouts),
     )
@@ -119,6 +116,8 @@ class HardyFrame:
     friend_b: SpectralObservable
     friends: FriendStage
     wigner_basis: JointEigenbasis
+    # Implication contexts (A, FB), (FA, FB), (FA, B); the middle one is friends.basis.
+    contexts: tuple[JointEigenbasis, JointEigenbasis, JointEigenbasis]
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ class FactorizationVerdict:
     schmidt_rank: int
     singular_values: tuple[float, ...]
     factorizes: bool
-    tolerance: float = SCHMIDT_TOL
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,9 @@ HARDY_SYSTEM = QubitRegister(("sA", "sB"))
 HARDY_REGISTER = QubitRegister(("sA", "sB", "fA", "fB"))
 
 
-def hardy_state(register: QubitRegister = HARDY_SYSTEM) -> StateVector:
+def hardy_state() -> StateVector:
     """(|z+z+> + |z+z-> + |z-z+>)/sqrt(3): no |z-z-> component."""
-    return normalized_state(register, [1.0, 1.0, 1.0, 0.0])
+    return normalized_state(HARDY_SYSTEM, [1.0, 1.0, 1.0, 0.0])
 
 
 @functools.cache
@@ -230,6 +228,7 @@ def build_hardy_frame() -> HardyFrame:
     wigner_b = lift_observable(mem_b, name="B")[0].embedded(HARDY_REGISTER)
     friend_a = record_observable(mem_a, "FA").embedded(HARDY_REGISTER)
     friend_b = record_observable(mem_b, "FB").embedded(HARDY_REGISTER)
+    friends = friend_stage("friends", HARDY_REGISTER, (mem_a, mem_b), (friend_a, friend_b))
     return HardyFrame(
         register=HARDY_REGISTER,
         mem_a=mem_a,
@@ -238,8 +237,13 @@ def build_hardy_frame() -> HardyFrame:
         wigner_b=wigner_b,
         friend_a=friend_a,
         friend_b=friend_b,
-        friends=friend_stage("friends", HARDY_REGISTER, (mem_a, mem_b), (friend_a, friend_b)),
+        friends=friends,
         wigner_basis=joint_eigenbasis(HARDY_REGISTER, (wigner_a, wigner_b)),
+        contexts=(
+            joint_eigenbasis(HARDY_REGISTER, (wigner_a, friend_b)),
+            friends.basis,
+            joint_eigenbasis(HARDY_REGISTER, (friend_a, wigner_b)),
+        ),
     )
 
 
@@ -258,18 +262,17 @@ def build_hardy_scenario(system_state: StateVector | None = None) -> Scenario:
     return Scenario("hardy", system, initial, frame)
 
 
-def extract_implications(state: StateVector, observables) -> list[Implication]:
-    """Value implications read off a joint branch decomposition.
+def extract_implications(branches) -> list[Implication]:
+    """Value implications read off the branches of one joint decomposition.
 
-    For every ordered pair of observables in the commuting family, an
+    The context is the branches' record names, in the order of the commuting
+    observables they were decomposed over.  For every ordered pair of them, an
     implication (O_i = v) => (O_j = w) is emitted whenever every branch
     carrying O_i = v agrees on O_j = w.
     """
-    branches = branch_decompose(state, observables)
-    names = [obs.name for obs in observables]
-    context = tuple(names)
+    context = tuple(branches[0].records) if branches else ()
     implications = []
-    for name_i, name_j in itertools.permutations(names, 2):
+    for name_i, name_j in itertools.permutations(context, 2):
         for v in (+1, -1):
             consequents = {b.records[name_j] for b in branches if b.records[name_i] == v}
             if len(consequents) == 1:
@@ -318,19 +321,16 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
         raise ValueError(f"expected a hardy scenario, got {scenario.kind!r}")
     frame: HardyFrame = scenario.frame
     post_friends, friend_records = frame.friends.run(scenario.initial_state)
-    wigner_branches = project_branches(post_friends, frame.wigner_basis)
-    joint_labels = ("A", "B")
     distribution: dict[tuple[int, int], float] = {}
     amplitudes: dict[tuple[int, int], complex] = {}
-    for branch in wigner_branches:
+    for branch in project_branches(post_friends, frame.wigner_basis):
         key = (branch.records["A"], branch.records["B"])
         distribution[key] = branch.probability
         amplitudes[key] = branch.amplitude
 
     implications = []
-    implications += extract_implications(post_friends, (frame.wigner_a, frame.friend_b))
-    implications += extract_implications(post_friends, (frame.friend_a, frame.friend_b))
-    implications += extract_implications(post_friends, (frame.friend_a, frame.wigner_b))
+    for basis in frame.contexts:
+        implications += extract_implications(project_branches(post_friends, basis))
 
     chain = chain_inferences(implications, ("A", -1))
     p_both_minus = distribution.get((-1, -1), 0.0)
@@ -342,7 +342,7 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
         register_labels=frame.register.labels,
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
         stage_records={frame.friends.agent: friend_records},
-        joint_labels=joint_labels,
+        joint_labels=("A", "B"),
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
         implications=tuple(implications),
@@ -367,12 +367,12 @@ BELL_AMPLITUDES = {
 }
 
 
-def bell_state(name: str, register: QubitRegister = PM_SYSTEM) -> StateVector:
+def bell_state(name: str) -> StateVector:
     try:
         amps = BELL_AMPLITUDES[name]
     except KeyError:
         raise ValueError(f"unknown Bell state {name!r}; pick from {sorted(BELL_AMPLITUDES)}") from None
-    return normalized_state(register, amps)
+    return normalized_state(PM_SYSTEM, amps)
 
 
 @functools.cache

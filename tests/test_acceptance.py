@@ -241,7 +241,7 @@ class TestCriterion11PropertySuites:
             lifted, _ = lift_observable(mem, name="lifted")
             conjugate = qsim.conjugate_observable(mem.recorded, "conj")
             system = random_state(QubitRegister(("s",)), rng)
-            memory = qsim.StateVector(QubitRegister(("f",)), mem.plus_record)
+            memory = qsim.basis_state(QubitRegister(("f",)), "0")
             evolved = apply_operator(
                 tensor_product([memory, system]).reordered(mem.register),
                 friend_unitary(mem),

@@ -38,6 +38,13 @@ class TestVerifySquare:
         colc = next(line for line in report.lines if line.line == "colC")
         assert colc.value == pytest.approx(+1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("cut", ["rows", "columns"])
+    def test_non_square_grid_rejected(self, cut):
+        grid = [list(row) for row in ctx.unbarred_square()]
+        grid = grid[:2] if cut == "rows" else [row[:2] for row in grid]
+        with pytest.raises(ValueError, match="3x3"):
+            ctx.verify_square_constraints(grid)
+
     def test_dimension_mismatch_rejected(self):
         grid = [list(row) for row in ctx.unbarred_square()]
         grid[0][0] = ctx.unbarred_square(("t1", "t2"))[0][0]
@@ -89,6 +96,10 @@ class TestRetrodict:
             verdict = ctx.retrodict_from_c(c, require_b_even=False)
             assert verdict.parity_pairs == {(+1, -1), (-1, +1)}
 
+    def test_even_c_triple_has_an_even_explanation(self):
+        assert ctx.c_outcome_consistent((+1, +1, +1))
+        assert ctx.c_outcome_consistent((-1, -1, +1))
+
     def test_even_c_rejected(self):
         with pytest.raises(ValueError, match="column constraint"):
             ctx.retrodict_from_c((+1, +1, +1))
@@ -133,6 +144,14 @@ class TestAuditRecords:
     def test_specific_example_sole_witness(self):
         audit = ctx.audit_records((1, -1, -1), (1, -1, -1), (1, 1, 1))
         assert audit.violated == ("colC: c1*c2*c3 != -1",)
+
+    def test_odd_a_column_named(self):
+        audit = ctx.audit_records((1, 1, -1), (1, 1, 1), (1, 1, -1))
+        assert audit.violated == ("colA: a1*a2*a3 != +1",)
+
+    def test_odd_b_column_named(self):
+        audit = ctx.audit_records((1, 1, 1), (-1, 1, 1), (-1, 1, 1))
+        assert audit.violated == ("colB: b1*b2*b3 != +1",)
 
     def test_consistent_certificate_requires_odd_rows(self):
         # break a row relation instead: the witness names the row

@@ -1,5 +1,6 @@
 """Friend unitaries, lifted observables, double lifts, and the lifted square."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -36,8 +37,8 @@ def z_mem(system_label="s", memory_label="f") -> MemoryAssignment:
 
 
 def lifted_input(mem: MemoryAssignment, system: StateVector) -> StateVector:
-    """Memory in its plus record, system arbitrary, ordered as mem.register."""
-    memory = StateVector(QubitRegister((mem.memory,)), mem.plus_record)
+    """Memory in |0>, system arbitrary, ordered as mem.register."""
+    memory = basis_state(QubitRegister((mem.memory,)), "0")
     return tensor_product([memory, system]).reordered(mem.register)
 
 
@@ -63,6 +64,12 @@ class TestFriendUnitary:
     def test_label_collision_rejected(self):
         with pytest.raises(ValueError, match="collides"):
             MemoryAssignment("s", pauli_observable("Z", "s"))
+
+    def test_records_are_the_fixed_basis_states(self):
+        assert [field.name for field in dataclasses.fields(MemoryAssignment)] == ["memory", "recorded"]
+        plus, minus = qsim.rank1_eigenstates(record_observable(z_mem()))
+        assert np.allclose(plus, [1, 0, 0, 0])  # |0>|z+>
+        assert np.allclose(minus, [0, 0, 0, 1])  # |1>|z->
 
     def test_rank_deficient_recorded_observable_still_unitary(self):
         mem = z_mem("s", "a")
@@ -152,6 +159,18 @@ class TestLogicalPauli:
         assert np.max(np.abs(x @ x - support)) < 1e-12
         assert np.max(np.abs(x @ z + z @ x)) < 1e-10
 
+    def test_y_follows_the_standard_pauli_relation(self):
+        # Z.X = iY and X.Z = -iY, as for the plain Pauli matrices
+        _, lifted_sub = lift_observable(z_mem("s1", "a1"))
+        x, y, z = (logical_pauli(lifted_sub, axis).matrix() for axis in "XYZ")
+        assert np.max(np.abs(z @ x - 1j * y)) < 1e-12
+        assert np.max(np.abs(x @ z + 1j * y)) < 1e-12
+
+    def test_unknown_axis_rejected(self):
+        _, lifted_sub = lift_observable(z_mem("s1", "a1"))
+        with pytest.raises(ValueError, match="X, Y or Z"):
+            logical_pauli(lifted_sub, "W")
+
 
 class TestDoubleLift:
     def build(self, anchor):
@@ -163,6 +182,12 @@ class TestDoubleLift:
         outer_label = "b1" if anchor == "X" else "b2"
         outer = MemoryAssignment(outer_label, lifted)
         return double_lift_basis(sub, outer, anchor=anchor), sub, outer
+
+    def test_memory_label_collision_rejected(self):
+        _, sub = lift_observable(z_mem("s1", "a1"))
+        outer = MemoryAssignment("a1", pauli_observable("Z", "t"))
+        with pytest.raises(ValueError, match=r"share labels \['a1'\]"):
+            double_lift_basis(sub, outer, anchor="X")
 
     def test_anchor_states_are_record_tagged(self):
         double, sub, outer = self.build("X")

@@ -279,3 +279,26 @@ def test_c_branches_share_the_plan_vectors(c_mode):
     frame_vectors = {id(space.vector) for space in frame.c_basis.spaces}
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
         assert {id(branch.vector) for branch in report.c_branches} <= frame_vectors
+
+
+def test_hardy_frame_compiles_its_implication_contexts():
+    frame = scenarios.build_hardy_frame()
+    assert frame.contexts[1] is frame.friends.basis
+    names = [tuple(basis.spaces[0].records) for basis in frame.contexts]
+    assert names == [("A", "FB"), ("FA", "FB"), ("FA", "B")]
+
+
+def test_hardy_runs_build_no_eigenbasis(monkeypatch):
+    assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction  # compiles
+    calls = []
+    original = qsim.joint_eigenbasis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qsim, "joint_eigenbasis", counted)
+    monkeypatch.setattr(scenarios, "joint_eigenbasis", counted)
+    for _ in range(2):
+        assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
+    assert calls == []

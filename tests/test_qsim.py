@@ -288,6 +288,22 @@ class TestBranchDecompose:
         with pytest.raises(ValueError, match="eigenbasis register"):
             project_branches(state, basis)
 
+    def test_excess_branch_weight_is_an_invariant_breach(self):
+        # the same rank-1 space listed twice: the branches carry weight 2
+        reg = QubitRegister(("a",))
+        ket0 = basis_state(reg, "0")
+        space = qsim.JointEigenspace({"Z[a]": +1}, ket0, None)
+        with pytest.raises(qsim.InvariantError, match=r"weight 2\.0") as info:
+            project_branches(ket0, qsim.JointEigenbasis(reg, (space, space)))
+        assert not isinstance(info.value, qsim.OutOfSupportError)
+
+    def test_missing_branch_weight_is_out_of_support(self):
+        reg = QubitRegister(("a",))
+        space = qsim.JointEigenspace({"Z[a]": +1}, basis_state(reg, "0"), None)
+        with pytest.raises(qsim.OutOfSupportError) as info:
+            project_branches(normalized_state(reg, [1, 1]), qsim.JointEigenbasis(reg, (space,)))
+        assert info.value.leaked_weight == pytest.approx(0.5)
+
 
 class TestSpectralObservable:
     def test_spectral_resolution(self):

@@ -148,21 +148,21 @@ class TestImplications:
         scenario = build_hardy_scenario()
         frame = scenario.frame
         post = run_stages(scenario, 1)
-        implications = extract_implications(post, (frame.wigner_a, frame.friend_b))
+        implications = extract_implications(branch_decompose(post, (frame.wigner_a, frame.friend_b)))
         assert scenarios.Implication(("A", -1), ("FB", -1), ("A", "FB")) in implications
 
     def test_hardy_zz_implications(self):
         scenario = build_hardy_scenario()
         frame = scenario.frame
         post = run_stages(scenario, 1)
-        implications = extract_implications(post, (frame.friend_a, frame.friend_b))
+        implications = extract_implications(branch_decompose(post, (frame.friend_a, frame.friend_b)))
         assert scenarios.Implication(("FA", -1), ("FB", +1), ("FA", "FB")) in implications
         assert scenarios.Implication(("FB", -1), ("FA", +1), ("FA", "FB")) in implications
 
     def test_eigenstate_implies_everything(self):
         state = basis_state(QubitRegister(("a", "b")), "01")
         implications = extract_implications(
-            state, (qsim.pauli_observable("Z", "a"), qsim.pauli_observable("Z", "b"))
+            branch_decompose(state, (qsim.pauli_observable("Z", "a"), qsim.pauli_observable("Z", "b")))
         )
         # single branch: each observed value implies the other
         pairs = {(i.antecedent, i.consequent) for i in implications}
@@ -280,7 +280,7 @@ class TestPMScenario:
             post_a = run_stages(scenario, 1)
             mem = frame.mems["b1"]  # B2: chain-1 record
             stage_b = frame.stages[1]
-            assert (stage_b.agent, stage_b.names[1]) == ("B", "B2")
+            assert (stage_b.agent, list(stage_b.basis.spaces[0].records)[1]) == ("B", "B2")
             assert stage_b.unitaries[1][0] == mem.targets
             evolved = apply_operator(post_a, friend_unitary(mem), mem.targets)
             for obs in (xbar1, zbar2):
