@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -137,7 +138,7 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
             return basis_state(register, spec)
         try:
             listed = json.loads(spec)
-        except json.JSONDecodeError:
+        except ValueError:  # malformed JSON, or an integer too long to convert
             raise ConfigError(
                 f"state {spec!r} is not a Bell name, basis bits, or amplitude list"
             ) from None
@@ -145,16 +146,18 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
         listed = spec
     if not isinstance(listed, list) or len(listed) != 4:
         raise ConfigError(f"explicit amplitude lists must have length 4, got {listed!r}")
+    bound = 1.0 + STATE_NORM_TOL
     amps = []
     for entry in listed:
-        if isinstance(entry, (int, float)):
-            amps.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            amps.append(complex(entry[0], entry[1]))
-        else:
-            raise ConfigError(f"amplitude entries must be numbers or [re, im] pairs, got {entry!r}")
-    if not np.all(np.isfinite(amps)):
-        raise ConfigError(f"amplitudes must be finite, got {listed!r}")
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+            raise ConfigError(f"amplitude entries must be real numbers or [re, im] pairs, got {entry!r}")
+        if not all(isinstance(p, int) or math.isfinite(p) for p in parts):
+            raise ConfigError(f"amplitudes must be finite, got {listed!r}")
+        # Exact comparisons first, so huge integers never reach a float conversion.
+        if any(abs(p) > bound for p in parts) or math.hypot(*parts) > bound:
+            raise ConfigError(f"amplitude {entry!r} has modulus above {bound!r}")
+        amps.append(complex(*parts))
     norm = float(np.linalg.norm(amps))
     deviation = abs(norm - 1.0)
     if deviation > STATE_NORM_TOL:

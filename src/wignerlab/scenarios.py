@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,11 +35,9 @@ from .qsim import (
     StateVector,
     apply_operator,
     basis_state,
-    expectation,
     joint_eigenbasis,
     normalized_state,
     pauli_observable,
-    product_observable,
     project_branches,
     random_state,
     tensor_product,
@@ -62,7 +61,7 @@ class Implication:
 
 @dataclass(frozen=True)
 class BranchRecord:
-    outcomes: dict[str, int]
+    records: dict[str, int]
     amplitude: complex
     probability: float
 
@@ -116,8 +115,8 @@ class HardyFrame:
     friend_b: SpectralObservable
     friends: FriendStage
     wigner_basis: JointEigenbasis
-    # Implication contexts (A, FB), (FA, FB), (FA, B); the middle one is friends.basis.
-    contexts: tuple[JointEigenbasis, JointEigenbasis, JointEigenbasis]
+    # Mixed implication contexts (A, FB), (FA, B); (FA, FB) is read off the friend records.
+    contexts: tuple[JointEigenbasis, JointEigenbasis]
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ class PMFrame:
 
     Besides the observables, the frame holds the A and B friend stages, the C
     stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
-    C1*C2*C3 product observable, the square-constraint report, and the
-    retrodiction verdict and contradiction flag of each valid C triple.
+    square-constraint report with the A parity it proves, and each valid C
+    triple's audited branch (no probability yet), keyed by outcome.
     """
 
     register: QubitRegister
@@ -139,9 +138,9 @@ class PMFrame:
     double2: DoubleLift
     stages: tuple[FriendStage, ...]
     c_basis: JointEigenbasis
-    c_product: SpectralObservable
     square_report: contextuality.SquareReport
-    c_audits: dict[tuple[int, int, int], tuple[contextuality.RetrodictionVerdict, bool]]
+    a_parity_even: bool
+    c_branches: dict[tuple[int, int, int], CBranch]
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,6 @@ def build_hardy_frame() -> HardyFrame:
         wigner_basis=joint_eigenbasis(HARDY_REGISTER, (wigner_a, wigner_b)),
         contexts=(
             joint_eigenbasis(HARDY_REGISTER, (wigner_a, friend_b)),
-            friends.basis,
             joint_eigenbasis(HARDY_REGISTER, (friend_a, wigner_b)),
         ),
     )
@@ -328,9 +326,10 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
         distribution[key] = branch.probability
         amplitudes[key] = branch.amplitude
 
+    a_fb, fa_b = (project_branches(post_friends, basis) for basis in frame.contexts)
     implications = []
-    for basis in frame.contexts:
-        implications += extract_implications(project_branches(post_friends, basis))
+    for branches in (a_fb, friend_records, fa_b):
+        implications += extract_implications(branches)
 
     chain = chain_inferences(implications, ("A", -1))
     p_both_minus = distribution.get((-1, -1), 0.0)
@@ -422,6 +421,12 @@ def build_pm_frame() -> PMFrame:
     rank_one = all(space.vector is not None for space in c_basis.spaces)
     if outcomes != contextuality.valid_c_triples() or not rank_one:
         raise InvariantError(f"C stage eigenspaces {outcomes} are not the four rank-1 valid triples")
+    square_report = contextuality.verify_square_constraints(square)
+    c_branches = {}
+    for outcome, space in zip(outcomes, c_basis.spaces):
+        verdict = contextuality.retrodict_from_c(outcome)
+        contradiction = not verdict.satisfiable_with_even_a
+        c_branches[outcome] = CBranch(outcome, None, space.vector, verdict, contradiction)
     return PMFrame(
         register=register,
         mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},
@@ -439,12 +444,11 @@ def build_pm_frame() -> PMFrame:
             ),
         ),
         c_basis=c_basis,
-        c_product=product_observable((c1, c2, c3), "C1*C2*C3"),
-        square_report=contextuality.verify_square_constraints(square),
-        c_audits={
-            c: (contextuality.retrodict_from_c(c), not contextuality.c_outcome_consistent(c))
-            for c in outcomes
-        },
+        square_report=square_report,
+        # The A stage records A3 as A1*A2, which the colA identity A1*A2*A3 = +1
+        # licenses: the A records carry even parity exactly when that line holds.
+        a_parity_even=any(line.line == "colA" and line.ok for line in square_report.lines),
+        c_branches=c_branches,
     )
 
 
@@ -467,7 +471,8 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     odd number of -1 outcomes for the innermost agent, whose own records
     always carry an even number: the contradiction flag is set per branch by
     exhaustive assignment search and holds on every run.  Everything that
-    depends only on the operators comes precompiled with `scenario.frame`.
+    depends only on the operators comes precompiled with `scenario.frame`, and
+    the expectations are read off the run's one C projection.
     """
     if scenario.kind != "peres-mermin":
         raise ValueError(f"expected a peres-mermin scenario, got {scenario.kind!r}")
@@ -477,35 +482,30 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
     for stage in frame.stages:
         state, stage_records[stage.agent] = stage.run(state)
 
-    c1, c2, c3 = frame.c_observables
+    c_projection = project_branches(state, frame.c_basis)
     expectations = {
-        "C1": expectation(state, c1),
-        "C2": expectation(state, c2),
-        "C3": expectation(state, c3),
-        "C1*C2*C3": expectation(state, frame.c_product),
+        "C1": sum(b.records["C1"] * b.probability for b in c_projection),
+        "C2": sum(b.records["C2"] * b.probability for b in c_projection),
+        "C3": sum(b.records["C3"] * b.probability for b in c_projection),
+        "C1*C2*C3": sum(math.prod(b.records.values()) * b.probability for b in c_projection),
     }
 
-    c_branches = []
     distribution: dict[tuple[int, ...], float] = {}
     amplitudes: dict[tuple[int, ...], complex] = {}
     projective = scenario.c_mode == "projective"
     if projective:
-        for branch in project_branches(state, frame.c_basis):
+        c_branches = []
+        for branch in c_projection:
             outcome = _c_outcome(branch.records)
             distribution[outcome] = branch.probability
             amplitudes[outcome] = branch.amplitude
-            c_branches.append(_audited_c_branch(frame, outcome, branch.probability, branch.vector))
+            c_branches.append(replace(frame.c_branches[outcome], probability=branch.probability))
     else:
         # No collapse anywhere: audit every jointly possible outcome, whose
         # eigenspaces are state-independent.
-        for space in frame.c_basis.spaces:
-            c_branches.append(_audited_c_branch(frame, _c_outcome(space.records), None, space.vector))
+        c_branches = list(frame.c_branches.values())
 
-    a_parity_even = all(
-        record.outcomes["A1"] * record.outcomes["A2"] * record.outcomes["A3"] == +1
-        for record in stage_records["A"]
-    )
-    contradiction = bool(c_branches) and all(b.contradiction for b in c_branches) and a_parity_even
+    contradiction = bool(c_branches) and all(b.contradiction for b in c_branches) and frame.a_parity_even
 
     square_constraints = {line.line: line.value for line in frame.square_report.lines}
 
@@ -522,7 +522,7 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
         expectations=expectations,
         square_constraints=square_constraints,
         c_branches=tuple(c_branches),
-        a_parity_even=a_parity_even,
+        a_parity_even=frame.a_parity_even,
         contradiction=contradiction,
         signalling=Signalling(observed, contradiction),
         final_state=state,
@@ -532,11 +532,6 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
 
 def _c_outcome(records: dict[str, int]) -> tuple[int, int, int]:
     return (records["C1"], records["C2"], records["C3"])
-
-
-def _audited_c_branch(frame: PMFrame, outcome, probability, vector) -> CBranch:
-    verdict, contradiction = frame.c_audits[outcome]
-    return CBranch(outcome, probability, vector, verdict, contradiction)
 
 
 def signalling_factorization_check(report: RunReport, flags=None) -> FactorizationVerdict:
@@ -599,7 +594,7 @@ def report_to_dict(report: RunReport) -> dict:
         "stages": {
             agent: [
                 {
-                    "outcomes": dict(sorted(rec.outcomes.items())),
+                    "outcomes": dict(sorted(rec.records.items())),
                     "amplitude": _complex_pair(rec.amplitude),
                     "probability": float(rec.probability),
                 }

@@ -58,6 +58,23 @@ class TestStateParsing:
         with pytest.raises(ConfigError, match="finite"):
             parse_state(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        ['[["a", 0], 0, 0, 0]', "[[null, 0], 0, 0, 0]", "[true, 0, 0, 0]", [[0, False], 0, 0, 0]],
+    )
+    def test_non_real_parts_rejected(self, spec):
+        with pytest.raises(ConfigError, match="real numbers"):
+            parse_state(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["[1e200, 1e200, 0, 0]", "[[0.8, 0.8], 0, 0, 0]", "[" + "9" * 400 + ", 0, 0, 0]"],
+        ids=["overflowing-pair", "pair-above-one", "long-integer"],
+    )
+    def test_entry_modulus_above_one_rejected(self, spec):
+        with pytest.raises(ConfigError, match="modulus above"):
+            parse_state(spec)
+
 
 class TestHardyCommand:
     def test_summary_and_report(self, tmp_path, capsys):
@@ -243,10 +260,16 @@ class TestExitCodes:
             ([], {"out": 7}),
             (["--scenario", "peres-mermin", "--state", "[NaN, 0, 0, 1]"], {}),
             (["--out", "{blocker}/sweep.txt"], {}),
+            (["--scenario", "peres-mermin", "--state", '[["a", 0], 0, 0, 0]'], {}),
+            (["--scenario", "peres-mermin", "--state", "[[null, 0], 0, 0, 0]"], {}),
+            (["--scenario", "hardy", "--state", "[true, 0, 0, 0]"], {}),
+            (["--scenario", "peres-mermin", "--state", "[1e200, 1e200, 0, 0]"], {}),
+            (["--scenario", "hardy", "--state", "[" + "9" * 5000 + ", 0, 0, 0]"], {}),
         ],
         ids=[
             "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "nan-state",
-            "out-under-file",
+            "out-under-file", "string-part-state", "null-part-state", "bool-state",
+            "overflow-state", "too-many-digits-state",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, flags, config):

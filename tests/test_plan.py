@@ -9,13 +9,14 @@ shares only `friend_unitary`, the state kernel (`apply_operator`,
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import contextuality, qsim, scenarios
+from wignerlab import contextuality, friendify, qsim, scenarios
 from wignerlab.friendify import friend_unitary
 from wignerlab.qsim import QubitRegister, StateVector, apply_operator, basis_state, tensor_product
 from wignerlab.scenarios import PM_SYSTEM, SCHMIDT_TOL, SWEEP_SEED
@@ -242,28 +243,38 @@ def fresh_frames():
     scenarios.build_hardy_frame.cache_clear()
 
 
+def count_calls(monkeypatch, calls: dict, function) -> None:
+    """Count `function`'s calls in `calls`, through every package module that binds it."""
+    name = function.__name__
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    for module in (contextuality, friendify, qsim, scenarios):
+        if getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 def test_sweep_compiles_frame_work_once(monkeypatch, fresh_frames):
-    calls = {"verify_square_constraints": 0, "product_observable": 0, "friend_unitary": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(contextuality, "verify_square_constraints")
-    counted(scenarios, "product_observable")
-    counted(scenarios, "friend_unitary")
+    calls = {}
+    for function in (
+        contextuality.verify_square_constraints,
+        qsim.product_observable,
+        qsim.expectation,
+        friend_unitary,
+    ):
+        count_calls(monkeypatch, calls, function)
     for c_mode in MODES:
         reports = scenarios.pm_random_sweep(count=20, seed=SWEEP_SEED, c_mode=c_mode)
         assert all(report.contradiction for report in reports)
     frame_memories = len(scenarios.build_pm_frame().mems)
+    # The expectations are read off each run's C projection, not from C operators.
     assert calls == {
         "verify_square_constraints": 1,
-        "product_observable": 1,
+        "product_observable": 0,
+        "expectation": 0,
         "friend_unitary": frame_memories,
     }
 
@@ -281,11 +292,35 @@ def test_c_branches_share_the_plan_vectors(c_mode):
         assert {id(branch.vector) for branch in report.c_branches} <= frame_vectors
 
 
+@pytest.mark.parametrize("c_mode", MODES)
+def test_a_parity_is_the_col_a_line(monkeypatch, fresh_frames, c_mode):
+    original = contextuality.verify_square_constraints
+
+    def col_a_fails(square):
+        report = original(square)
+        lines = [replace(line, ok=False) if line.line == "colA" else line for line in report.lines]
+        return replace(report, lines=tuple(lines))
+
+    monkeypatch.setattr(contextuality, "verify_square_constraints", col_a_fails)
+    report = scenarios.run_pm_protocol(
+        scenarios.build_pm_scenario(scenarios.bell_state("phi+"), c_mode)
+    )
+    assert report.a_parity_even is False
+    assert report.contradiction is False
+    assert all(branch.contradiction for branch in report.c_branches)
+
+
 def test_hardy_frame_compiles_its_implication_contexts():
     frame = scenarios.build_hardy_frame()
-    assert frame.contexts[1] is frame.friends.basis
     names = [tuple(basis.spaces[0].records) for basis in frame.contexts]
-    assert names == [("A", "FB"), ("FA", "FB"), ("FA", "B")]
+    assert names == [("A", "FB"), ("FA", "B")]
+    # (FA, FB) is read off the friend stage's records, in the middle of the implications.
+    report = scenarios.run_fr_protocol(scenarios.build_hardy_scenario())
+    contexts = list(dict.fromkeys(imp.context for imp in report.implications))
+    assert contexts == [("A", "FB"), ("FA", "FB"), ("FA", "B")]
+    friend_branches = qsim.project_branches(report.final_state, frame.friends.basis)
+    read_off = [imp for imp in report.implications if imp.context == ("FA", "FB")]
+    assert read_off == scenarios.extract_implications(friend_branches)
 
 
 def test_hardy_runs_build_no_eigenbasis(monkeypatch):
@@ -302,3 +337,13 @@ def test_hardy_runs_build_no_eigenbasis(monkeypatch):
     for _ in range(2):
         assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
     assert calls == []
+
+
+def test_warm_hardy_runs_project_each_basis_once(monkeypatch):
+    assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction  # compiles
+    calls = {}
+    count_calls(monkeypatch, calls, qsim.project_branches)
+    for _ in range(2):
+        assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
+    # Per run: the friend records, the Wigner pair and the two mixed contexts.
+    assert calls == {"project_branches": 8}

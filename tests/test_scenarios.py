@@ -36,7 +36,7 @@ SEED = 90217
 
 
 def records_of(branches):
-    return {tuple(sorted(b.outcomes.items())) for b in branches}
+    return {tuple(sorted(b.records.items())) for b in branches}
 
 
 def friend_order(scenario):
@@ -311,7 +311,7 @@ class TestRunPMProtocol:
         for _ in range(10):
             report = run_pm_protocol(build_pm_scenario(random_state(PM_SYSTEM, rng)))
             for record in report.stage_records["A"]:
-                values = [record.outcomes[k] for k in ("A1", "A2", "A3")]
+                values = [record.records[k] for k in ("A1", "A2", "A3")]
                 assert values.count(-1) % 2 == 0
             assert report.a_parity_even
 
