@@ -45,8 +45,9 @@ from .epistemic import (
     xor_combine,
 )
 from .scenarios import (
+    HardyReport,
     Implication,
-    RunReport,
+    PMReport,
     Scenario,
     build_hardy_scenario,
     build_pm_scenario,

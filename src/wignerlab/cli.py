@@ -102,6 +102,8 @@ def load_config(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer too long to convert
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}:1:1: config must be a JSON object")
     schema = doc.pop("schema", CONFIG_SCHEMA)
@@ -233,7 +235,7 @@ def _render_text(node, lines: list[str], depth: int) -> None:
 
 
 def _run_hardy(config: RunConfig, out):
-    system = parse_state(config.state) if config.state else None
+    system = parse_state(config.state) if config.state is not None else None
     scenario = scenarios.build_hardy_scenario(system)
     report = scenarios.run_fr_protocol(scenario)
     doc = scenarios.report_to_dict(report)
@@ -252,7 +254,7 @@ def _run_hardy(config: RunConfig, out):
 
 def _hardy_epistemic_audit(report) -> dict:
     """Replay the inference chain at the two-bit budget and report the violation."""
-    if report.chain is None or not report.chain.steps:
+    if not report.chain.steps:
         return {"clean": True, "note": "no chain to audit"}
     steps = epistemic.steps_from_implications(report.chain.steps, report.chain.seed, "conditional")
     audit = epistemic.audit_inference_chain(2, steps)
@@ -290,7 +292,7 @@ def _pm_run_summary(report, out):
 
 
 def _run_pm(config: RunConfig, out):
-    state = parse_state(config.state) if config.state else scenarios.bell_state("phi+")
+    state = parse_state(config.state) if config.state is not None else scenarios.bell_state("phi+")
     scenario = scenarios.build_pm_scenario(state, c_mode=config.c_mode)
     report = scenarios.run_pm_protocol(scenario)
     doc = scenarios.report_to_dict(report)
@@ -315,7 +317,7 @@ def _run_sweep(config: RunConfig, out):
     contradictions = sum(1 for r in reports if r.contradiction)
     rank_one = sum(1 for r in reports if r.factorization.schmidt_rank == 1)
     doc = {
-        "schema": "wignerlab-report/1",
+        "schema": scenarios.REPORT_SCHEMA,
         "kind": "pm-sweep",
         "seed": config.seed,
         "count": config.runs,

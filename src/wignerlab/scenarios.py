@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,8 @@ SWEEP_SEED = 20260810
 
 # Singular values above this count toward the Schmidt rank.
 SCHMIDT_TOL = 1e-8
+
+REPORT_SCHEMA = "wignerlab-report/1"
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ class PMFrame:
     Besides the observables, the frame holds the A and B friend stages, the C
     stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
     square-constraint report with the A parity it proves, and each valid C
-    triple's audited branch (no probability yet), keyed by outcome.
+    triple's audited branch, keyed by outcome.
     """
 
     register: QubitRegister
@@ -157,7 +159,6 @@ class CBranch:
     """An audited C outcome; `vector` spans its rank-1 eigenspace and is shared by every run."""
 
     outcome: tuple[int, int, int]
-    probability: float | None
     vector: StateVector
     retrodiction: contextuality.RetrodictionVerdict
     contradiction: bool
@@ -171,14 +172,6 @@ class ChainResult:
 
 
 @dataclass(frozen=True)
-class Signalling:
-    """Which agents reported some definite observation, and the contradiction flag."""
-
-    observed: tuple[str, ...]
-    contradiction: bool
-
-
-@dataclass(frozen=True)
 class FactorizationVerdict:
     schmidt_rank: int
     singular_values: tuple[float, ...]
@@ -186,25 +179,41 @@ class FactorizationVerdict:
 
 
 @dataclass(frozen=True)
-class RunReport:
-    kind: str
-    c_mode: str | None
-    register_labels: tuple[str, ...]
+class HardyReport:
+    """One two-Wigner run: friend records, joint Wigner outcomes, implications and chain."""
+
+    kind = "hardy"
+    joint_labels = ("A", "B")
+
     initial_amplitudes: tuple[complex, ...]
     stage_records: dict[str, tuple[BranchRecord, ...]]
-    joint_labels: tuple[str, ...]
-    joint_distribution: dict[tuple[int, ...], float]
-    joint_amplitudes: dict[tuple[int, ...], complex]
-    implications: tuple[Implication, ...] = ()
-    chain: ChainResult | None = None
-    expectations: dict[str, float] = field(default_factory=dict)
-    square_constraints: dict[str, float] = field(default_factory=dict)
-    c_branches: tuple[CBranch, ...] = ()
-    a_parity_even: bool | None = None
-    contradiction: bool = False
-    signalling: Signalling | None = None
-    factorization: FactorizationVerdict | None = None
-    final_state: StateVector | None = None
+    joint_distribution: dict[tuple[int, int], float]
+    joint_amplitudes: dict[tuple[int, int], complex]
+    implications: tuple[Implication, ...]
+    chain: ChainResult
+    contradiction: bool
+    final_state: StateVector
+
+
+@dataclass(frozen=True)
+class PMReport:
+    """One square-protocol run; expectation-only mode reports no joint C outcomes or probabilities."""
+
+    kind = "peres-mermin"
+    joint_labels = ("C1", "C2", "C3")
+
+    initial_amplitudes: tuple[complex, ...]
+    stage_records: dict[str, tuple[BranchRecord, ...]]
+    joint_distribution: dict[tuple[int, int, int], float]
+    joint_amplitudes: dict[tuple[int, int, int], complex]
+    c_mode: str
+    expectations: dict[str, float]
+    square_constraints: dict[str, float]
+    c_branches: tuple[CBranch, ...]
+    a_parity_even: bool
+    contradiction: bool
+    factorization: FactorizationVerdict
+    final_state: StateVector
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +316,7 @@ def chain_inferences(implications, seed: tuple[str, int]) -> ChainResult:
     return ChainResult(tuple(seed), tuple(conclusions), tuple(steps))
 
 
-def run_fr_protocol(scenario: Scenario) -> RunReport:
+def run_fr_protocol(scenario: Scenario) -> HardyReport:
     """Run the two-Wigner protocol and assemble the narrative report.
 
     The report carries the joint lifted-X distribution, the implications the
@@ -335,19 +344,14 @@ def run_fr_protocol(scenario: Scenario) -> RunReport:
     p_both_minus = distribution.get((-1, -1), 0.0)
     contradiction = (("B", +1) in chain.conclusions) and p_both_minus > PROBABILITY_TOL
 
-    return RunReport(
-        kind="hardy",
-        c_mode=None,
-        register_labels=frame.register.labels,
+    return HardyReport(
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
         stage_records={frame.friends.agent: friend_records},
-        joint_labels=("A", "B"),
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
         implications=tuple(implications),
         chain=chain,
         contradiction=contradiction,
-        signalling=Signalling(("FA", "FB", "A", "B"), contradiction),
         final_state=post_friends,
     )
 
@@ -426,7 +430,7 @@ def build_pm_frame() -> PMFrame:
     for outcome, space in zip(outcomes, c_basis.spaces):
         verdict = contextuality.retrodict_from_c(outcome)
         contradiction = not verdict.satisfiable_with_even_a
-        c_branches[outcome] = CBranch(outcome, None, space.vector, verdict, contradiction)
+        c_branches[outcome] = CBranch(outcome, space.vector, verdict, contradiction)
     return PMFrame(
         register=register,
         mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},
@@ -464,7 +468,7 @@ def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scena
     return Scenario("peres-mermin", system, full, build_pm_frame(), c_mode)
 
 
-def run_pm_protocol(scenario: Scenario) -> RunReport:
+def run_pm_protocol(scenario: Scenario) -> PMReport:
     """Execute the three stages and audit every branch of the resulting narrative.
 
     The level-3 agent's outcomes always satisfy c1*c2*c3 = -1 and retrodict an
@@ -490,51 +494,38 @@ def run_pm_protocol(scenario: Scenario) -> RunReport:
         "C1*C2*C3": sum(math.prod(b.records.values()) * b.probability for b in c_projection),
     }
 
-    distribution: dict[tuple[int, ...], float] = {}
-    amplitudes: dict[tuple[int, ...], complex] = {}
-    projective = scenario.c_mode == "projective"
-    if projective:
-        c_branches = []
-        for branch in c_projection:
-            outcome = _c_outcome(branch.records)
-            distribution[outcome] = branch.probability
-            amplitudes[outcome] = branch.amplitude
-            c_branches.append(replace(frame.c_branches[outcome], probability=branch.probability))
+    if scenario.c_mode == "projective":
+        distribution = {_c_outcome(b.records): b.probability for b in c_projection}
+        amplitudes = {_c_outcome(b.records): b.amplitude for b in c_projection}
+        c_branches = tuple(frame.c_branches[outcome] for outcome in distribution)
     else:
         # No collapse anywhere: audit every jointly possible outcome, whose
         # eigenspaces are state-independent.
-        c_branches = list(frame.c_branches.values())
+        distribution, amplitudes = {}, {}
+        c_branches = tuple(frame.c_branches.values())
 
-    contradiction = bool(c_branches) and all(b.contradiction for b in c_branches) and frame.a_parity_even
-
-    square_constraints = {line.line: line.value for line in frame.square_report.lines}
-
-    observed = ("A", "B", "C") if projective else ("A", "B")
-    report = RunReport(
-        kind="peres-mermin",
-        c_mode=scenario.c_mode,
-        register_labels=frame.register.labels,
+    flags = [branch.contradiction for branch in c_branches]
+    return PMReport(
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
         stage_records=stage_records,
-        joint_labels=("C1", "C2", "C3"),
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
+        c_mode=scenario.c_mode,
         expectations=expectations,
-        square_constraints=square_constraints,
-        c_branches=tuple(c_branches),
+        square_constraints={line.line: line.value for line in frame.square_report.lines},
+        c_branches=c_branches,
         a_parity_even=frame.a_parity_even,
-        contradiction=contradiction,
-        signalling=Signalling(observed, contradiction),
+        contradiction=bool(c_branches) and all(flags) and frame.a_parity_even,
+        factorization=_factorization(state, c_branches, flags),
         final_state=state,
     )
-    return replace(report, factorization=signalling_factorization_check(report))
 
 
 def _c_outcome(records: dict[str, int]) -> tuple[int, int, int]:
     return (records["C1"], records["C2"], records["C3"])
 
 
-def signalling_factorization_check(report: RunReport, flags=None) -> FactorizationVerdict:
+def signalling_factorization_check(report: PMReport, flags=None) -> FactorizationVerdict:
     """Check that the contradiction record stays in a product state with the lab.
 
     A fresh record qubit is appended and flipped inside each audited branch
@@ -544,15 +535,17 @@ def signalling_factorization_check(report: RunReport, flags=None) -> Factorizati
     sum of the flagged branches' rank-1 projectors.  Passing explicit flags
     allows probing corrupted (branch-dependent) records.
     """
-    if report.final_state is None or not report.c_branches:
-        raise ValueError("factorization check needs a completed square-protocol report")
-    psi = report.final_state.amplitudes
     if flags is None:
         flags = [branch.contradiction for branch in report.c_branches]
-    if len(flags) != len(report.c_branches):
+    return _factorization(report.final_state, report.c_branches, flags)
+
+
+def _factorization(state: StateVector, c_branches, flags) -> FactorizationVerdict:
+    if len(flags) != len(c_branches):
         raise ValueError("one flag per audited branch required")
+    psi = state.amplitudes
     flipped = np.zeros_like(psi)
-    for branch, flag in zip(report.c_branches, flags):
+    for branch, flag in zip(c_branches, flags):
         if flag:
             vector = branch.vector.amplitudes
             flipped += vector * np.vdot(vector, psi)
@@ -584,12 +577,12 @@ def _outcome_key(outcome) -> str:
     return "".join("+" if v > 0 else "-" for v in outcome)
 
 
-def report_to_dict(report: RunReport) -> dict:
+def report_to_dict(report: HardyReport | PMReport) -> dict:
     """Serializable tree for a run report; lossless for all numeric content."""
     doc: dict = {
-        "schema": "wignerlab-report/1",
+        "schema": REPORT_SCHEMA,
         "kind": report.kind,
-        "register": list(report.register_labels),
+        "register": list(report.final_state.register.labels),
         "initial_state": [_complex_pair(z) for z in report.initial_amplitudes],
         "stages": {
             agent: [
@@ -613,50 +606,40 @@ def report_to_dict(report: RunReport) -> dict:
         },
         "contradiction": report.contradiction,
     }
-    if report.c_mode is not None:
-        doc["c_mode"] = report.c_mode
-    if report.implications:
-        doc["implications"] = [
-            {
-                "if": [imp.antecedent[0], imp.antecedent[1]],
-                "then": [imp.consequent[0], imp.consequent[1]],
-                "context": list(imp.context),
-            }
-            for imp in report.implications
-        ]
-    if report.chain is not None:
+    if isinstance(report, HardyReport):
+        if report.implications:
+            doc["implications"] = [
+                {
+                    "if": [imp.antecedent[0], imp.antecedent[1]],
+                    "then": [imp.consequent[0], imp.consequent[1]],
+                    "context": list(imp.context),
+                }
+                for imp in report.implications
+            ]
         doc["chain"] = {
             "seed": [report.chain.seed[0], report.chain.seed[1]],
             "conclusions": [[lbl, val] for lbl, val in report.chain.conclusions],
         }
-    if report.expectations:
-        doc["expectations"] = {k: float(v) for k, v in sorted(report.expectations.items())}
-    if report.square_constraints:
-        doc["square_constraints"] = {
-            k: float(v) for k, v in sorted(report.square_constraints.items())
+        doc["signalling"] = {"observed": ["FA", "FB", "A", "B"], "contradiction": report.contradiction}
+        return doc
+    doc["c_mode"] = report.c_mode
+    doc["expectations"] = {k: float(v) for k, v in sorted(report.expectations.items())}
+    doc["square_constraints"] = {k: float(v) for k, v in sorted(report.square_constraints.items())}
+    doc["c_branches"] = [
+        {
+            "outcome": _outcome_key(b.outcome),
+            "probability": report.joint_distribution.get(b.outcome),
+            "required_a_parity": b.retrodiction.required_a_parity,
+            "contradiction": b.contradiction,
         }
-    if report.c_branches:
-        doc["c_branches"] = [
-            {
-                "outcome": _outcome_key(b.outcome),
-                "probability": None if b.probability is None else float(b.probability),
-                "required_a_parity": b.retrodiction.required_a_parity,
-                "contradiction": b.contradiction,
-            }
-            for b in report.c_branches
-        ]
-    if report.a_parity_even is not None:
-        doc["a_parity_even"] = report.a_parity_even
-    if report.signalling is not None:
-        doc["signalling"] = {
-            "observed": list(report.signalling.observed),
-            "contradiction": report.signalling.contradiction,
-        }
-    if report.factorization is not None:
-        doc["factorization"] = {
-            "schmidt_rank": report.factorization.schmidt_rank,
-            "singular_values": [float(s) for s in report.factorization.singular_values],
-            "factorizes": report.factorization.factorizes,
-        }
+        for b in report.c_branches
+    ]
+    doc["a_parity_even"] = report.a_parity_even
+    observed = ["A", "B", "C"] if report.c_mode == "projective" else ["A", "B"]
+    doc["signalling"] = {"observed": observed, "contradiction": report.contradiction}
+    doc["factorization"] = {
+        "schmidt_rank": report.factorization.schmidt_rank,
+        "singular_values": [float(s) for s in report.factorization.singular_values],
+        "factorizes": report.factorization.factorizes,
+    }
     return doc
-

@@ -265,11 +265,21 @@ class TestExitCodes:
             (["--scenario", "hardy", "--state", "[true, 0, 0, 0]"], {}),
             (["--scenario", "peres-mermin", "--state", "[1e200, 1e200, 0, 0]"], {}),
             (["--scenario", "hardy", "--state", "[" + "9" * 5000 + ", 0, 0, 0]"], {}),
+            # Raw config members: json.dumps cannot print an integer this long.
+            ([], '"seed": ' + "7" * 5000),
+            ([], {"scenario": "hardy", "state": ""}),
+            ([], {"scenario": "peres-mermin", "state": []}),
+            ([], {"scenario": "hardy", "state": 0}),
+            ([], {"scenario": "peres-mermin", "state": False}),
+            (["--scenario", "hardy", "--state", ""], {}),
+            (["--scenario", "peres-mermin", "--state", ""], {}),
         ],
         ids=[
             "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "nan-state",
             "out-under-file", "string-part-state", "null-part-state", "bool-state",
-            "overflow-state", "too-many-digits-state",
+            "overflow-state", "too-many-digits-state", "too-many-digits-config",
+            "empty-string-state", "empty-list-state", "zero-state", "false-state",
+            "empty-state-flag-hardy", "empty-state-flag-pm",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, flags, config):
@@ -277,7 +287,10 @@ class TestExitCodes:
         blocker.write_text("a regular file\n")
         path = tmp_path / "run.json"
         doc = {"scenario": "pm-sweep", "runs": 1, "out": str(tmp_path / "r.txt")}
-        path.write_text(json.dumps({**doc, **config}))
+        if isinstance(config, str):
+            path.write_text(json.dumps(doc)[:-1] + f", {config}}}")
+        else:
+            path.write_text(json.dumps({**doc, **config}))
         argv = ["--config", str(path)] + [f.replace("{blocker}", str(blocker)) for f in flags]
         assert run_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

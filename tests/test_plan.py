@@ -290,6 +290,7 @@ def test_c_branches_share_the_plan_vectors(c_mode):
     frame_vectors = {id(space.vector) for space in frame.c_basis.spaces}
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
         assert {id(branch.vector) for branch in report.c_branches} <= frame_vectors
+        assert all(branch is frame.c_branches[branch.outcome] for branch in report.c_branches)
 
 
 @pytest.mark.parametrize("c_mode", MODES)

@@ -34,6 +34,21 @@ from wignerlab.scenarios import (
 
 SEED = 90217
 
+# No implication fires on this Hardy input, so its report has no `implications` key.
+GENERIC_HARDY_INPUT = normalized_state(
+    PM_SYSTEM,
+    [
+        0.30151134457776363,
+        0.20100756305184242 + 0.502518907629606j,
+        0.40201512610368484 - 0.30151134457776363j,
+        0.6030226891555273,
+    ],
+)
+REPORT_HEAD = ["schema", "kind", "register", "initial_state", "stages", "joint", "contradiction"]
+PM_REPORT_TAIL = [
+    "c_mode", "expectations", "square_constraints", "c_branches", "a_parity_even", "signalling", "factorization",
+]
+
 
 def records_of(branches):
     return {tuple(sorted(b.records.items())) for b in branches}
@@ -118,7 +133,7 @@ class TestRunFRProtocol:
         assert report.joint_distribution[(-1, -1)] == pytest.approx(1 / 12, abs=1e-12)
         assert report.chain.conclusions == (("FB", -1), ("FA", +1), ("B", +1))
         assert report.contradiction
-        assert report.signalling.observed == ("FA", "FB", "A", "B")
+        assert report_to_dict(report)["signalling"]["observed"] == ["FA", "FB", "A", "B"]
 
     def test_friend_records_match_state_support(self):
         report = run_fr_protocol(build_hardy_scenario())
@@ -343,10 +358,11 @@ class TestRunPMProtocol:
         )
         assert report.joint_distribution == {}
         assert len(report.c_branches) == 4
-        assert all(b.probability is None for b in report.c_branches)
+        doc = report_to_dict(report)
+        assert all(b["probability"] is None for b in doc["c_branches"])
         assert all(b.contradiction for b in report.c_branches)
         assert report.contradiction
-        assert report.signalling.observed == ("A", "B")
+        assert doc["signalling"]["observed"] == ["A", "B"]
         assert report.factorization.schmidt_rank == 1
 
     def test_expectations_for_bell_input(self):
@@ -389,3 +405,19 @@ class TestSerialization:
         assert doc["factorization"]["schmidt_rank"] == 1
         amp = doc["stages"]["A"][0]["amplitude"]
         assert isinstance(amp, list) and len(amp) == 2
+
+    @pytest.mark.parametrize(
+        "run, tail",
+        [
+            (lambda: run_fr_protocol(build_hardy_scenario()), ["implications", "chain", "signalling"]),
+            (lambda: run_fr_protocol(build_hardy_scenario(GENERIC_HARDY_INPUT)), ["chain", "signalling"]),
+            (lambda: run_pm_protocol(build_pm_scenario(bell_state("phi+"))), PM_REPORT_TAIL),
+            (
+                lambda: run_pm_protocol(build_pm_scenario(bell_state("phi+"), "expectation-only")),
+                PM_REPORT_TAIL,
+            ),
+        ],
+        ids=["hardy", "hardy-no-implications", "pm-projective", "pm-expectation-only"],
+    )
+    def test_top_level_key_order(self, run, tail):
+        assert list(report_to_dict(run())) == REPORT_HEAD + tail
