@@ -1,19 +1,22 @@
 """Classical constraint logic of the Peres-Mermin square.
 
-Everything here is exhaustive enumeration over at most 512 sign assignments;
-no algebraic shortcuts.  The same enumeration doubles as the oracle the
-protocol runner uses to audit multi-agent records.
+`PMSquare` is the one table of the six line targets: every check walks its
+lines, and every verdict filters an exhaustive enumeration of the (at most
+512) sign assignments meeting them; no algebraic shortcuts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .qsim import (
     STRUCT_TOL,
+    InvariantError,
     QubitRegister,
     SpectralObservable,
     identity_observable,
@@ -25,13 +28,6 @@ SIGNS = (+1, -1)
 
 # Grid layout: grid[row][col], columns ordered (A, B, C).
 ROW_LABELS = (("A1", "B1", "C1"), ("A2", "B2", "C2"), ("A3", "B3", "C3"))
-
-
-def _parity(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,13 @@ class PMSquare:
     row_targets: tuple[int | None, int | None, int | None] = (+1, +1, +1)
     col_targets: tuple[int | None, int | None, int | None] = (+1, +1, -1)
 
+    @functools.cached_property
+    def lines(self) -> tuple[tuple[str, int | None, tuple[tuple[int, int], ...]], ...]:
+        """(name, target, cells) of rows 1-3, then columns A-C; a cell is (row, col)."""
+        rows = [(f"row{i + 1}", t, ((i, 0), (i, 1), (i, 2))) for i, t in enumerate(self.row_targets)]
+        cols = [(f"col{'ABC'[j]}", t, ((0, j), (1, j), (2, j))) for j, t in enumerate(self.col_targets)]
+        return tuple(rows + cols)
+
 
 def standard_square() -> PMSquare:
     """Row products +1, column products (+1, +1, -1): the full constraint set."""
@@ -56,43 +59,51 @@ def rows_only_square() -> PMSquare:
     return PMSquare(col_targets=(None, None, None))
 
 
+def _freed(square: PMSquare, col: int) -> PMSquare:
+    """`square` without column `col`'s target: that column's parity is the question."""
+    targets = tuple(None if j == col else t for j, t in enumerate(square.col_targets))
+    return replace(square, col_targets=targets)
+
+
 @dataclass(frozen=True)
 class PMAssignment:
     """One +/-1 value per grid cell, row-major."""
 
     values: tuple[tuple[int, int, int], ...]
 
-    def row(self, i: int) -> tuple[int, int, int]:
-        return self.values[i]
-
     def col(self, j: int) -> tuple[int, int, int]:
         return tuple(self.values[i][j] for i in range(3))
 
     def satisfies(self, square: PMSquare) -> bool:
-        for i, target in enumerate(square.row_targets):
-            if target is not None and _parity(self.row(i)) != target:
-                return False
-        for j, target in enumerate(square.col_targets):
-            if target is not None and _parity(self.col(j)) != target:
-                return False
-        return True
+        return _meets(self.values, square.lines)
+
+
+def _meets(values, lines) -> bool:
+    return all(t is None or math.prod(values[i][j] for i, j in cells) == t for _, t, cells in lines)
+
+
+@functools.lru_cache(maxsize=16)
+def _assignments(square: PMSquare) -> tuple[PMAssignment, ...]:
+    # Rows meeting their targets (64 combinations when all are set), filtered by column.
+    triples = list(itertools.product(SIGNS, repeat=3))
+    per_row = [[t for t in triples if r is None or math.prod(t) == r] for r in square.row_targets]
+    columns = square.lines[3:]
+    return tuple(PMAssignment(v) for v in itertools.product(*per_row) if _meets(v, columns))
 
 
 def enumerate_assignments(square: PMSquare) -> list[PMAssignment]:
-    """All of the 512 sign assignments satisfying the square's targets."""
-    satisfying = []
-    for flat in itertools.product(SIGNS, repeat=9):
-        assignment = PMAssignment((flat[0:3], flat[3:6], flat[6:9]))
-        if assignment.satisfies(square):
-            satisfying.append(assignment)
-    return satisfying
+    """Every sign assignment satisfying the square's targets, in the order of a scan of all 512."""
+    return list(_assignments(square))
 
 
 @dataclass(frozen=True)
 class LineCheck:
+    """A line's measured sign and its deviation from sign * support; ok: the standard target."""
+
     line: str
     target: int
     value: float
+    sign: int
     deviation: float
     ok: bool
 
@@ -102,6 +113,7 @@ class SquareReport:
     commutation_ok: bool
     max_commutator: float
     lines: tuple[LineCheck, ...]
+    tol: float
 
     @property
     def all_ok(self) -> bool:
@@ -111,15 +123,26 @@ class SquareReport:
     def violations(self) -> tuple[LineCheck, ...]:
         return tuple(line for line in self.lines if not line.ok)
 
+    def proved(self) -> PMSquare:
+        """The square whose targets are the measured signs, once every line is a +/-1 identity."""
+        failed = {line.line: line.deviation for line in self.lines if not line.deviation <= self.tol}
+        if failed or not self.commutation_ok:
+            raise InvariantError(
+                f"square lines {failed} are not +/-1 identities or do not commute "
+                f"(max commutator {self.max_commutator:.3g})"
+            )
+        signs = tuple(line.sign for line in self.lines)
+        return PMSquare(row_targets=signs[:3], col_targets=signs[3:])
+
 
 def verify_square_constraints(operators, tol: float = STRUCT_TOL) -> SquareReport:
-    """Check row/column commutation and the six product constraints of a 3x3 grid.
+    """Check row/column commutation and measure the six product constraints of a 3x3 grid.
 
     `operators` is a 3x3 row-major grid of SpectralObservables on a common
-    register.  Each line's operator product must equal target * S, where S is
+    register.  Each line's operator product must equal sign * S, where S is
     the product of the three supports (the subspace the line is jointly
-    defined on); this evaluates the constraint on every reachable state at
-    once.
+    defined on) and sign that of its normalized trace; this evaluates the
+    constraint on every reachable state at once.
     """
     grid = [list(row) for row in operators]
     if len(grid) != 3 or any(len(row) != 3 for row in grid):
@@ -133,31 +156,22 @@ def verify_square_constraints(operators, tol: float = STRUCT_TOL) -> SquareRepor
                     f"expected {register.labels}"
                 )
 
-    lines: list[tuple[str, int, list[SpectralObservable]]] = []
-    for i in range(3):
-        lines.append((f"row{i + 1}", +1, grid[i]))
-    col_targets = (+1, +1, -1)
-    for j, col_name in enumerate("ABC"):
-        lines.append((f"col{col_name}", col_targets[j], [grid[i][j] for i in range(3)]))
-
     max_comm = 0.0
-    for _, _, members in lines:
+    checks = []
+    for line_name, target, cells in standard_square().lines:
+        members = [grid[i][j] for i, j in cells]
         mats = [m.matrix() for m in members]
         for a, b in itertools.combinations(mats, 2):
             max_comm = max(max_comm, float(np.max(np.abs(a @ b - b @ a))))
-
-    checks = []
-    for line_name, target, members in lines:
-        product = np.eye(register.dim, dtype=complex)
-        support = np.eye(register.dim, dtype=complex)
-        for member in members:
-            product = product @ member.matrix()
-            support = support @ member.support
-        deviation = float(np.max(np.abs(product - target * support)))
+        product = functools.reduce(np.matmul, mats)
+        support = functools.reduce(np.matmul, [m.support for m in members])
         value = float(np.trace(product).real / max(np.trace(support).real, 1.0))
-        checks.append(LineCheck(line_name, target, value, deviation, deviation <= tol))
+        sign = +1 if value >= 0 else -1
+        deviation = float(np.max(np.abs(product - sign * support)))
+        ok = sign == target and deviation <= tol
+        checks.append(LineCheck(line_name, target, value, sign, deviation, ok))
 
-    return SquareReport(max_comm <= tol, max_comm, tuple(checks))
+    return SquareReport(max_comm <= tol, max_comm, tuple(checks), tol)
 
 
 def unbarred_square(labels: tuple[str, str] = ("s1", "s2")) -> list[list[SpectralObservable]]:
@@ -195,36 +209,23 @@ class RetrodictionVerdict:
     satisfiable_with_even_a: bool
 
 
-def _row_consistent_pairs(c, require_b_even: bool):
-    for a in itertools.product(SIGNS, repeat=3):
-        for b in itertools.product(SIGNS, repeat=3):
-            if any(a[i] * b[i] != c[i] for i in range(3)):
-                continue
-            if require_b_even and _parity(b) != +1:
-                continue
-            yield a, b
+def retrodict_from_c(c, square: PMSquare | None = None) -> RetrodictionVerdict:
+    """Infer A's parity from C's outcome triple over the square's assignments with that C column.
 
-
-def retrodict_from_c(c, require_b_even: bool = True) -> RetrodictionVerdict:
-    """Infer A's parity from C's outcome triple by exhausting row-consistent pairs.
-
-    With require_b_even the B column constraint (even number of -1s) is
-    imposed; without it only the row relations c_i = a_i * b_i are used, which
-    still forbid A and B from both having odd parity.
+    A's own column target is dropped (its parity is the question); `square`
+    defaults to the standard one.  Without B's column target the row
+    relations c_i = a_i * b_i still forbid A and B from both having odd parity.
     """
+    square = standard_square() if square is None else square
     c = tuple(int(v) for v in c)
-    if _parity(c) != -1:
-        raise ValueError(f"C triple {c} violates the column constraint c1*c2*c3 = -1")
-    a_parities = set()
-    parity_pairs = set()
-    count = 0
-    for a, b in _row_consistent_pairs(c, require_b_even):
-        count += 1
-        a_parities.add(_parity(a))
-        parity_pairs.add((_parity(a), _parity(b)))
-    required = a_parities.pop() if len(a_parities) == 1 else 0
-    even_a = any(pa == +1 for pa, _ in parity_pairs)
-    return RetrodictionVerdict(c, required, count, frozenset(parity_pairs), even_a)
+    survivors = [s for s in _assignments(_freed(square, 0)) if s.col(2) == c]
+    if not survivors:
+        target = square.col_targets[2]
+        raise ValueError(f"C triple {c} violates the column constraint c1*c2*c3 = {target:+d}")
+    parity_pairs = frozenset((math.prod(s.col(0)), math.prod(s.col(1))) for s in survivors)
+    a_parities = {pa for pa, _ in parity_pairs}
+    required = next(iter(a_parities)) if len(a_parities) == 1 else 0
+    return RetrodictionVerdict(c, required, len(survivors), parity_pairs, +1 in a_parities)
 
 
 @dataclass(frozen=True)
@@ -235,56 +236,53 @@ class PredictionVerdict:
 
 
 def predict_from_a(a) -> PredictionVerdict:
-    """Infer C's parity from A's outcome triple over B-consistent completions."""
+    """Infer C's parity from A's outcome triple over the standard square without C's target."""
+    square = standard_square()
     a = tuple(int(v) for v in a)
-    if _parity(a) != +1:
-        raise ValueError(f"A triple {a} violates the column constraint a1*a2*a3 = +1")
-    c_parities = set()
-    count = 0
-    for b in itertools.product(SIGNS, repeat=3):
-        if _parity(b) != +1:
-            continue
-        c = tuple(a[i] * b[i] for i in range(3))
-        c_parities.add(_parity(c))
-        count += 1
+    survivors = [s for s in _assignments(_freed(square, 2)) if s.col(0) == a]
+    if not survivors:
+        target = square.col_targets[0]
+        raise ValueError(f"A triple {a} violates the column constraint a1*a2*a3 = {target:+d}")
+    c_parities = {math.prod(s.col(2)) for s in survivors}
     required = c_parities.pop() if len(c_parities) == 1 else 0
-    return PredictionVerdict(a, required, count)
+    return PredictionVerdict(a, required, len(survivors))
 
 
 @dataclass(frozen=True)
 class RecordAudit:
     violated: tuple[str, ...]
 
-    @property
-    def consistent(self) -> bool:
-        return not self.violated
-
 
 def audit_records(a, b, c) -> RecordAudit:
-    """Check three record triples against the row relations and column targets."""
-    a, b, c = (tuple(int(v) for v in t) for t in (a, b, c))
+    """Check three record triples against the standard square's lines, naming each broken one."""
+    square = standard_square()
+    values = tuple(zip(*((int(v) for v in t) for t in (a, b, c))))
     violated = []
-    for i in range(3):
-        if a[i] * b[i] != c[i]:
-            violated.append(f"row{i + 1}: a{i + 1}*b{i + 1} != c{i + 1}")
-    if _parity(a) != +1:
-        violated.append("colA: a1*a2*a3 != +1")
-    if _parity(b) != +1:
-        violated.append("colB: b1*b2*b3 != +1")
-    if _parity(c) != -1:
-        violated.append("colC: c1*c2*c3 != -1")
+    for name, target, cells in square.lines:
+        if math.prod(values[i][j] for i, j in cells) == target:
+            continue
+        x, y, z = (square.labels[i][j].lower() for i, j in cells)
+        if name.startswith("row"):  # read as C's record being A's times B's
+            violated.append(f"{name}: {x}*{y} != {'-' if target < 0 else ''}{z}")
+        else:
+            violated.append(f"{name}: {x}*{y}*{z} != {target:+d}")
     return RecordAudit(tuple(violated))
 
 
 def c_outcome_consistent(c) -> bool:
-    """Is there any (a, b) with even parities explaining the C triple? (Never, for valid c.)"""
+    """Is there any (a, b) with even parities explaining the C triple? (Never, for valid c.)
+
+    The audits' oracle: it walks the row relations c_i = a_i * b_i by hand, reading no table.
+    """
     c = tuple(int(v) for v in c)
-    for a, b in _row_consistent_pairs(c, require_b_even=True):
-        if _parity(a) == +1:
-            return True
+    for a in itertools.product(SIGNS, repeat=3):
+        for b in itertools.product(SIGNS, repeat=3):
+            if all(a[i] * b[i] == c[i] for i in range(3)) and math.prod(a) == math.prod(b) == +1:
+                return True
     return False
 
 
-def valid_c_triples() -> list[tuple[int, int, int]]:
-    """The four C triples compatible with c1*c2*c3 = -1."""
-    return [c for c in itertools.product(SIGNS, repeat=3) if _parity(c) == -1]
+def valid_c_triples(square: PMSquare | None = None) -> list[tuple[int, int, int]]:
+    """The C columns of `square`'s assignments without A's target, +1 first (c1*c2*c3 = -1)."""
+    square = standard_square() if square is None else square
+    return sorted({s.col(2) for s in _assignments(_freed(square, 0))}, reverse=True)

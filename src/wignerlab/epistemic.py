@@ -416,8 +416,7 @@ def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
     every such binding is refused.
     """
     c = tuple(int(v) for v in c)
-    if c[0] * c[1] * c[2] != -1:
-        raise ValueError(f"C triple {c} violates the column constraint c1*c2*c3 = -1")
+    retrodicted = contextuality.retrodict_from_c(c).required_a_parity  # rejects an invalid c
     correlations = {
         1: CorrelationFact("A1", "B1", c[0]),
         2: CorrelationFact("A2", "B2", c[1]),
@@ -434,7 +433,6 @@ def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
     required_a_parity = 0
     if parity_derivable:
         required_a_parity = held[0].value * held[1].value * correlations[3].value
-        retrodicted = contextuality.retrodict_from_c(c).required_a_parity
         if required_a_parity != retrodicted:
             raise InvariantError(
                 f"ledger parity {required_a_parity:+d} for C triple {c} disagrees with "

@@ -127,8 +127,8 @@ class PMFrame:
 
     Besides the observables, the frame holds the A and B friend stages, the C
     stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
-    square-constraint report with the A parity it proves, and each valid C
-    triple's audited branch, keyed by outcome.
+    square-constraint report (whose proved square gives the A parity and
+    every C verdict), and each valid C triple's audited branch, keyed by outcome.
     """
 
     register: QubitRegister
@@ -418,19 +418,22 @@ def build_pm_frame() -> PMFrame:
         "B1": record_observable(mem_b2, "B1").embedded(register),
         "B2": record_observable(mem_b1, "B2").embedded(register),
     }
-    # The C stage must split into exactly the four valid C triples, each a
-    # rank-1 joint eigenspace; both C modes then audit the same fixed vectors.
+    # Every verdict below reads the square the operators prove.  The C stage must split
+    # into exactly its C triples, each a rank-1 joint eigenspace; both C modes then
+    # audit the same fixed vectors.
+    square_report = contextuality.verify_square_constraints(square)
+    proved = square_report.proved()
     c_basis = joint_eigenbasis(register, (c1, c2, c3))
     outcomes = [_c_outcome(space.records) for space in c_basis.spaces]
     rank_one = all(space.vector is not None for space in c_basis.spaces)
-    if outcomes != contextuality.valid_c_triples() or not rank_one:
-        raise InvariantError(f"C stage eigenspaces {outcomes} are not the four rank-1 valid triples")
-    square_report = contextuality.verify_square_constraints(square)
+    if outcomes != contextuality.valid_c_triples(proved) or not rank_one:
+        raise InvariantError(f"C stage eigenspaces {outcomes} are not the proved rank-1 C triples")
+    # A branch contradicts the square when no assignment satisfying it has that C column.
+    explained = {assignment.col(2) for assignment in contextuality.enumerate_assignments(proved)}
     c_branches = {}
     for outcome, space in zip(outcomes, c_basis.spaces):
-        verdict = contextuality.retrodict_from_c(outcome)
-        contradiction = not verdict.satisfiable_with_even_a
-        c_branches[outcome] = CBranch(outcome, space.vector, verdict, contradiction)
+        verdict = contextuality.retrodict_from_c(outcome, proved)
+        c_branches[outcome] = CBranch(outcome, space.vector, verdict, outcome not in explained)
     return PMFrame(
         register=register,
         mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},
@@ -449,9 +452,9 @@ def build_pm_frame() -> PMFrame:
         ),
         c_basis=c_basis,
         square_report=square_report,
-        # The A stage records A3 as A1*A2, which the colA identity A1*A2*A3 = +1
-        # licenses: the A records carry even parity exactly when that line holds.
-        a_parity_even=any(line.line == "colA" and line.ok for line in square_report.lines),
+        # The A stage records A3 as A1*A2, which the colA identity licenses: the
+        # A records carry even parity exactly when its proved target is +1.
+        a_parity_even=proved.col_targets[0] == +1,
         c_branches=c_branches,
     )
 

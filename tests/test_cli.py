@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wignerlab import cli, scenarios
+from wignerlab import cli, contextuality, scenarios
 from wignerlab.cli import ConfigError, emit_report, parse_state
 from wignerlab.qsim import InvariantError
 
@@ -249,6 +249,24 @@ class TestExitCodes:
         status = run_main(["--scenario", "peres-mermin", "--out", str(tmp_path / "x.txt")])
         assert status == 3
         assert "invariant breach" in capsys.readouterr().err
+
+    def test_square_line_off_identity_exits_3(self, monkeypatch, fresh_frames, tmp_path, capsys):
+        # The real frame build proves the square: a line whose product is not
+        # +/-1 times its support is a breach, not a verdict.
+        original = contextuality.verify_square_constraints
+
+        def off_identity(square):
+            report = original(square)
+            lines = [replace(ln, deviation=0.5) if ln.line == "colB" else ln for ln in report.lines]
+            return replace(report, lines=tuple(lines))
+
+        monkeypatch.setattr(contextuality, "verify_square_constraints", off_identity)
+        out = tmp_path / "x.txt"
+        status = run_main(["--scenario", "peres-mermin", "--out", str(out)])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "internal invariant breach" in err and "'colB': 0.5" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, config",

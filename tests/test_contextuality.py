@@ -1,12 +1,13 @@
 """Square constraint checks and exhaustive assignment logic."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wignerlab import contextuality as ctx
-from wignerlab.qsim import SpectralObservable
+from wignerlab.qsim import InvariantError, SpectralObservable
 
 
 def negate(obs: SpectralObservable) -> SpectralObservable:
@@ -37,6 +38,25 @@ class TestVerifySquare:
         assert "colC" in broken
         colc = next(line for line in report.lines if line.line == "colC")
         assert colc.value == pytest.approx(+1.0, abs=1e-10)
+
+    def test_proved_square_holds_the_measured_signs(self):
+        assert ctx.verify_square_constraints(ctx.unbarred_square()).proved() == ctx.standard_square()
+        grid = [list(row) for row in ctx.unbarred_square()]
+        grid[2][2] = negate(grid[2][2])
+        proved = ctx.verify_square_constraints(grid).proved()
+        assert proved.row_targets == (+1, +1, -1) and proved.col_targets == (+1, +1, +1)
+
+    @pytest.mark.parametrize("deviation", [0.5, float("nan")])
+    def test_proved_rejects_a_line_off_identity(self, deviation):
+        report = ctx.verify_square_constraints(ctx.unbarred_square())
+        lines = [replace(ln, deviation=deviation) if ln.line == "row2" else ln for ln in report.lines]
+        with pytest.raises(InvariantError, match="row2"):
+            replace(report, lines=tuple(lines)).proved()
+
+    def test_proved_rejects_non_commuting_lines(self):
+        report = ctx.verify_square_constraints(ctx.unbarred_square())
+        with pytest.raises(InvariantError, match="do not commute"):
+            replace(report, commutation_ok=False).proved()
 
     @pytest.mark.parametrize("cut", ["rows", "columns"])
     def test_non_square_grid_rejected(self, cut):
@@ -73,6 +93,22 @@ class TestEnumerate:
         all_ones = ctx.PMAssignment(((1, 1, 1), (1, 1, 1), (1, 1, 1)))
         assert all_ones in satisfying
 
+    def test_matches_a_numpy_filter_on_every_target_table(self):
+        # Brute force: all 512 sign grids, scanned in itertools order, masked line by line.
+        grids = np.array(list(itertools.product((+1, -1), repeat=9))).reshape(512, 3, 3)
+        parities = np.concatenate([grids.prod(axis=2), grids.prod(axis=1)], axis=1)  # rows, cols
+        tables = list(itertools.product((+1, -1, None), repeat=6))
+        assert len(tables) == 729
+        for targets in tables:
+            mask = np.ones(512, dtype=bool)
+            for line, target in enumerate(targets):
+                if target is not None:
+                    mask &= parities[:, line] == target
+            want = [tuple(map(tuple, grid)) for grid in grids[mask].tolist()]
+            square = ctx.PMSquare(row_targets=targets[:3], col_targets=targets[3:])
+            got = [assignment.values for assignment in ctx.enumerate_assignments(square)]
+            assert got == want, targets
+
 
 class TestRetrodict:
     def test_all_minus(self):
@@ -93,7 +129,7 @@ class TestRetrodict:
 
     def test_rows_only_forbids_double_odd(self):
         for c in ctx.valid_c_triples():
-            verdict = ctx.retrodict_from_c(c, require_b_even=False)
+            verdict = ctx.retrodict_from_c(c, ctx.PMSquare(col_targets=(+1, None, -1)))
             assert verdict.parity_pairs == {(+1, -1), (-1, +1)}
 
     def test_even_c_triple_has_an_even_explanation(self):

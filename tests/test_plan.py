@@ -5,7 +5,9 @@ unitaries, dense joint projectors for every stage, the C1*C2*C3 operator
 product, square verification, retrodiction audits and a 128x128 lifted
 operator for the factorization check.  Beyond the frame's observables it
 shares only `friend_unitary`, the state kernel (`apply_operator`,
-`tensor_product`) and the `contextuality` audits with the compiled path.
+`tensor_product`) and `verify_square_constraints` with the compiled path.
+Its C-branch verdicts come from the hand-written `c_outcome_consistent`
+oracle and the C triple's own parity, not from the constraint table.
 """
 
 import itertools
@@ -128,7 +130,7 @@ def dense_reference(initial: StateVector, c_mode: str) -> tuple[dict, StateVecto
             c_rows.append((outcome, abs(amplitude) ** 2))
             projectors.append(np.outer(vector, vector.conj()))
     else:
-        for outcome in contextuality.valid_c_triples():
+        for outcome in (c for c in itertools.product((+1, -1), repeat=3) if np.prod(c) == -1):
             projector = np.eye(state.dim, dtype=complex)
             for obs, value in zip(frame.c_observables, outcome):
                 projector = projector @ obs.projector(value)
@@ -138,7 +140,8 @@ def dense_reference(initial: StateVector, c_mode: str) -> tuple[dict, StateVecto
         {
             "outcome": _key(outcome),
             "probability": probability,
-            "required_a_parity": contextuality.retrodict_from_c(outcome).required_a_parity,
+            # The rows with B even force parity(A) = parity(C).
+            "required_a_parity": int(np.prod(outcome)),
             "contradiction": not contextuality.c_outcome_consistent(outcome),
         }
         for outcome, probability in c_rows
@@ -234,15 +237,6 @@ def test_plan_matches_dense_reference_on_sweep_seed(c_mode):
         check_against_reference(initial, c_mode, report)
 
 
-@pytest.fixture
-def fresh_frames():
-    scenarios.build_pm_frame.cache_clear()
-    scenarios.build_hardy_frame.cache_clear()
-    yield
-    scenarios.build_pm_frame.cache_clear()
-    scenarios.build_hardy_frame.cache_clear()
-
-
 def count_calls(monkeypatch, calls: dict, function) -> None:
     """Count `function`'s calls in `calls`, through every package module that binds it."""
     name = function.__name__
@@ -294,21 +288,32 @@ def test_c_branches_share_the_plan_vectors(c_mode):
 
 
 @pytest.mark.parametrize("c_mode", MODES)
-def test_a_parity_is_the_col_a_line(monkeypatch, fresh_frames, c_mode):
+@pytest.mark.parametrize("flipped", ["row1", "row2", "row3", "colA", "colB", "colC"])
+def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, flipped, c_mode):
+    """Each of the six measured line values drives the frame: none is assumed."""
     original = contextuality.verify_square_constraints
 
-    def col_a_fails(square):
+    def flip(square):
         report = original(square)
-        lines = [replace(line, ok=False) if line.line == "colA" else line for line in report.lines]
+        lines = [
+            replace(line, value=-line.value, sign=-line.sign) if line.line == flipped else line
+            for line in report.lines
+        ]
         return replace(report, lines=tuple(lines))
 
-    monkeypatch.setattr(contextuality, "verify_square_constraints", col_a_fails)
-    report = scenarios.run_pm_protocol(
-        scenarios.build_pm_scenario(scenarios.bell_state("phi+"), c_mode)
-    )
-    assert report.a_parity_even is False
+    monkeypatch.setattr(contextuality, "verify_square_constraints", flip)
+    if flipped == "colC":
+        # The C eigenspaces carry c1*c2*c3 = -1, which a +1 colC line rules out.
+        with pytest.raises(qsim.InvariantError, match="C stage eigenspaces"):
+            scenarios.build_pm_frame()
+        return
+    initial = scenarios.bell_state("phi+")
+    report = scenarios.run_pm_protocol(scenarios.build_pm_scenario(initial, c_mode))
+    # With one line flipped the targets are satisfiable, so every C branch has an explanation.
+    assert report.c_branches
+    assert not any(branch.contradiction for branch in report.c_branches)
     assert report.contradiction is False
-    assert all(branch.contradiction for branch in report.c_branches)
+    assert report.a_parity_even is (flipped != "colA")
 
 
 def test_hardy_frame_compiles_its_implication_contexts():
