@@ -60,8 +60,8 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ConfigError(f"out must be a non-empty path string, got {self.out!r}")
 
     @property
     def c_mode(self) -> str:
@@ -298,14 +298,12 @@ def _run_pm(config: RunConfig, out):
     doc = scenarios.report_to_dict(report)
     doc["epistemic"] = [
         {
-            "outcome": scenarios._outcome_key(audit.c),
-            "required_a_parity": audit.required_a_parity,
-            "parity_derivable": audit.parity_derivable,
-            "bindings_refused": audit.all_bindings_refused,
+            "outcome": scenarios._outcome_key(branch.outcome),
+            "required_a_parity": branch.audit.required_a_parity,
+            "parity_derivable": branch.audit.parity_derivable,
+            "bindings_refused": branch.audit.all_bindings_refused,
         }
-        for audit in (
-            epistemic.pm_epistemic_audit(branch.outcome) for branch in report.c_branches
-        )
+        for branch in report.c_branches
     ]
     print(f"scenario: peres-mermin (C stage: {config.c_mode})", file=out)
     _pm_run_summary(report, out)
@@ -333,7 +331,7 @@ def _run_sweep(config: RunConfig, out):
 
 
 def _output_path(config: RunConfig) -> Path:
-    if config.out:
+    if config.out is not None:
         return Path(config.out)
     base = os.environ.get(OUTPUT_DIR_ENV) or "."
     ext = "json" if config.format == "structured" else "txt"

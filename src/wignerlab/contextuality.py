@@ -74,13 +74,6 @@ class PMAssignment:
     def col(self, j: int) -> tuple[int, int, int]:
         return tuple(self.values[i][j] for i in range(3))
 
-    def satisfies(self, square: PMSquare) -> bool:
-        return _meets(self.values, square.lines)
-
-
-def _meets(values, lines) -> bool:
-    return all(t is None or math.prod(values[i][j] for i, j in cells) == t for _, t, cells in lines)
-
 
 @functools.lru_cache(maxsize=16)
 def _assignments(square: PMSquare) -> tuple[PMAssignment, ...]:
@@ -88,7 +81,11 @@ def _assignments(square: PMSquare) -> tuple[PMAssignment, ...]:
     triples = list(itertools.product(SIGNS, repeat=3))
     per_row = [[t for t in triples if r is None or math.prod(t) == r] for r in square.row_targets]
     columns = square.lines[3:]
-    return tuple(PMAssignment(v) for v in itertools.product(*per_row) if _meets(v, columns))
+    return tuple(
+        PMAssignment(v)
+        for v in itertools.product(*per_row)
+        if all(t is None or math.prod(v[i][j] for i, j in cells) == t for _, t, cells in columns)
+    )
 
 
 def enumerate_assignments(square: PMSquare) -> list[PMAssignment]:
@@ -98,14 +95,12 @@ def enumerate_assignments(square: PMSquare) -> list[PMAssignment]:
 
 @dataclass(frozen=True)
 class LineCheck:
-    """A line's measured sign and its deviation from sign * support; ok: the standard target."""
+    """A line's measured value and sign, and its deviation from sign * support."""
 
     line: str
-    target: int
     value: float
     sign: int
     deviation: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,6 @@ class SquareReport:
     max_commutator: float
     lines: tuple[LineCheck, ...]
     tol: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.commutation_ok and all(line.ok for line in self.lines)
-
-    @property
-    def violations(self) -> tuple[LineCheck, ...]:
-        return tuple(line for line in self.lines if not line.ok)
 
     def proved(self) -> PMSquare:
         """The square whose targets are the measured signs, once every line is a +/-1 identity."""
@@ -158,7 +145,7 @@ def verify_square_constraints(operators, tol: float = STRUCT_TOL) -> SquareRepor
 
     max_comm = 0.0
     checks = []
-    for line_name, target, cells in standard_square().lines:
+    for line_name, _, cells in standard_square().lines:
         members = [grid[i][j] for i, j in cells]
         mats = [m.matrix() for m in members]
         for a, b in itertools.combinations(mats, 2):
@@ -168,8 +155,7 @@ def verify_square_constraints(operators, tol: float = STRUCT_TOL) -> SquareRepor
         value = float(np.trace(product).real / max(np.trace(support).real, 1.0))
         sign = +1 if value >= 0 else -1
         deviation = float(np.max(np.abs(product - sign * support)))
-        ok = sign == target and deviation <= tol
-        checks.append(LineCheck(line_name, target, value, sign, deviation, ok))
+        checks.append(LineCheck(line_name, value, sign, deviation))
 
     return SquareReport(max_comm <= tol, max_comm, tuple(checks), tol)
 
@@ -206,7 +192,6 @@ class RetrodictionVerdict:
     required_a_parity: int
     consistent_pairs: int
     parity_pairs: frozenset
-    satisfiable_with_even_a: bool
 
 
 def retrodict_from_c(c, square: PMSquare | None = None) -> RetrodictionVerdict:
@@ -225,7 +210,7 @@ def retrodict_from_c(c, square: PMSquare | None = None) -> RetrodictionVerdict:
     parity_pairs = frozenset((math.prod(s.col(0)), math.prod(s.col(1))) for s in survivors)
     a_parities = {pa for pa, _ in parity_pairs}
     required = next(iter(a_parities)) if len(a_parities) == 1 else 0
-    return RetrodictionVerdict(c, required, len(survivors), parity_pairs, +1 in a_parities)
+    return RetrodictionVerdict(c, required, len(survivors), parity_pairs)
 
 
 @dataclass(frozen=True)

@@ -403,24 +403,25 @@ class PMEpistemicReport:
         return all(b.refused for b in self.bindings)
 
 
-def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
+def pm_epistemic_audit(c, square: contextuality.PMSquare, capacity: int = 2) -> PMEpistemicReport:
     """Audit what the outermost agent's outcomes let them conclude.
 
-    Each c_i is the correlational fact "A_i and B_i agree iff c_i = +1".  Two
-    of these are recorded (the third is their product under the column
-    constraint, so it costs no extra bit).  The parity of A's outcomes is
-    derived from the correlations the ledger holds, and cross-checked against
-    the exhaustive retrodiction; a ledger too small for both leaves it
-    underivable (0).  Attaching a definite value to any single A_i or B_i
+    Row i of `square` (a table with every row and colB target set, such as a
+    frame's proved square) makes c_i times its target the correlational fact
+    "A_i and B_i agree iff that product is +1".  Two of these are recorded
+    (the third follows from them under the column constraints, so it costs no
+    extra bit).  The parity of A's outcomes is derived from the correlations
+    the ledger holds and colB's target, and cross-checked against the
+    exhaustive retrodiction over `square`; a ledger too small for both leaves
+    it underivable (0).  Attaching a definite value to any single A_i or B_i
     requires an anchor the ledger cannot hold at the default capacity, so
     every such binding is refused.
     """
     c = tuple(int(v) for v in c)
-    retrodicted = contextuality.retrodict_from_c(c).required_a_parity  # rejects an invalid c
+    retrodicted = contextuality.retrodict_from_c(c, square).required_a_parity  # rejects an invalid c
     correlations = {
-        1: CorrelationFact("A1", "B1", c[0]),
-        2: CorrelationFact("A2", "B2", c[1]),
-        3: CorrelationFact("A3", "B3", c[2]),
+        row: CorrelationFact(f"A{row}", f"B{row}", c[row - 1] * square.row_targets[row - 1])
+        for row in (1, 2, 3)
     }
     ledger = KnowledgeLedger(capacity)
     for row in (1, 2):
@@ -428,11 +429,10 @@ def pm_epistemic_audit(c, capacity: int = 2) -> PMEpistemicReport:
     held = [correlations[row] for row in (1, 2) if ledger.holds(correlations[row])]
     parity_derivable = len(held) == 2
 
-    # parity(A) = parity(B) * (c1*c2*c3); with B's column constraint (+1) this
-    # pins A's parity to the two held correlations times the row-3 value.
+    # parity(A) = parity(B) times the three correlations, and parity(B) is colB's target.
     required_a_parity = 0
     if parity_derivable:
-        required_a_parity = held[0].value * held[1].value * correlations[3].value
+        required_a_parity = held[0].value * held[1].value * correlations[3].value * square.col_targets[1]
         if required_a_parity != retrodicted:
             raise InvariantError(
                 f"ledger parity {required_a_parity:+d} for C triple {c} disagrees with "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contextuality
+from . import contextuality, epistemic
 from .friendify import (
     DoubleLift,
     MemoryAssignment,
@@ -129,6 +129,7 @@ class PMFrame:
     stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
     square-constraint report (whose proved square gives the A parity and
     every C verdict), and each valid C triple's audited branch, keyed by outcome.
+    Each branch's retrodiction and epistemic audit read the proved square.
     """
 
     register: QubitRegister
@@ -161,6 +162,7 @@ class CBranch:
     outcome: tuple[int, int, int]
     vector: StateVector
     retrodiction: contextuality.RetrodictionVerdict
+    audit: epistemic.PMEpistemicReport
     contradiction: bool
 
 
@@ -433,7 +435,8 @@ def build_pm_frame() -> PMFrame:
     c_branches = {}
     for outcome, space in zip(outcomes, c_basis.spaces):
         verdict = contextuality.retrodict_from_c(outcome, proved)
-        c_branches[outcome] = CBranch(outcome, space.vector, verdict, outcome not in explained)
+        audit = epistemic.pm_epistemic_audit(outcome, proved)
+        c_branches[outcome] = CBranch(outcome, space.vector, verdict, audit, outcome not in explained)
     return PMFrame(
         register=register,
         mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},

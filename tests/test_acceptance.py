@@ -101,9 +101,9 @@ def test_criterion_03_fr_chain(hardy_report):
 
 def test_criterion_04_square_validity(pm_frame):
     plain = ctx.verify_square_constraints(ctx.unbarred_square(), tol=1e-10)
-    assert plain.commutation_ok and plain.all_ok
+    assert plain.commutation_ok and plain.proved() == ctx.standard_square()
     lifted = ctx.verify_square_constraints(pm_frame.square, tol=1e-10)
-    assert lifted.commutation_ok and lifted.all_ok
+    assert lifted.commutation_ok and lifted.proved() == ctx.standard_square()
     for report in (plain, lifted):
         values = {line.line: line.value for line in report.lines}
         assert values["colC"] == pytest.approx(-1.0, abs=1e-10)
@@ -183,7 +183,7 @@ def test_criterion_10_epistemic_audit(hardy_report):
     assert audit.violation.kind == "purge-demand"
     assert audit.violation.entry == ep.Fact("FA", +1, condition=("FB", -1))
     for c in ctx.valid_c_triples():
-        report = ep.pm_epistemic_audit(c)
+        report = ep.pm_epistemic_audit(c, ctx.standard_square())
         assert report.parity_derivable and report.required_a_parity == -1
         assert len(report.bindings) == 12 and report.all_bindings_refused
     print("[PASS] criterion 10: budget audit blocks the chain; 4 parities derived, 12 bindings refused")

@@ -276,6 +276,8 @@ class TestExitCodes:
             ([], {"runs": True}),
             ([], {"seed": 2.5}),
             ([], {"out": 7}),
+            ([], {"out": ""}),
+            (["--out", ""], {}),
             (["--scenario", "peres-mermin", "--state", "[NaN, 0, 0, 1]"], {}),
             (["--out", "{blocker}/sweep.txt"], {}),
             (["--scenario", "peres-mermin", "--state", '[["a", 0], 0, 0, 0]'], {}),
@@ -293,7 +295,8 @@ class TestExitCodes:
             (["--scenario", "peres-mermin", "--state", ""], {}),
         ],
         ids=[
-            "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "nan-state",
+            "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "empty-out-config",
+            "empty-out-flag", "nan-state",
             "out-under-file", "string-part-state", "null-part-state", "bool-state",
             "overflow-state", "too-many-digits-state", "too-many-digits-config",
             "empty-string-state", "empty-list-state", "zero-state", "false-state",

@@ -18,7 +18,7 @@ def negate(obs: SpectralObservable) -> SpectralObservable:
 class TestVerifySquare:
     def test_unbarred_square_passes(self):
         report = ctx.verify_square_constraints(ctx.unbarred_square())
-        assert report.all_ok
+        assert report.proved() == ctx.standard_square()
         values = {line.line: line.value for line in report.lines}
         assert values == {
             "row1": 1.0,
@@ -33,9 +33,9 @@ class TestVerifySquare:
         grid = [list(row) for row in ctx.unbarred_square()]
         grid[2][2] = negate(grid[2][2])
         report = ctx.verify_square_constraints(grid)
-        assert not report.all_ok
-        broken = {line.line for line in report.violations}
-        assert "colC" in broken
+        proved = report.proved()
+        assert proved != ctx.standard_square()
+        assert proved.col_targets[2] != ctx.standard_square().col_targets[2]
         colc = next(line for line in report.lines if line.line == "colC")
         assert colc.value == pytest.approx(+1.0, abs=1e-10)
 
@@ -114,7 +114,7 @@ class TestRetrodict:
     def test_all_minus(self):
         verdict = ctx.retrodict_from_c((-1, -1, -1))
         assert verdict.required_a_parity == -1
-        assert not verdict.satisfiable_with_even_a
+        assert all(parity_a == -1 for parity_a, _ in verdict.parity_pairs)
 
     def test_single_minus(self):
         verdict = ctx.retrodict_from_c((+1, +1, -1))

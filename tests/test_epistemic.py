@@ -232,7 +232,7 @@ class TestPMEpistemicAudit:
         import wignerlab.contextuality as ctx
 
         for c in ctx.valid_c_triples():
-            audit = ep.pm_epistemic_audit(c)
+            audit = ep.pm_epistemic_audit(c, ctx.standard_square())
             assert audit.parity_derivable
             assert audit.required_a_parity == -1
             assert len(audit.bindings) == 12
@@ -240,7 +240,7 @@ class TestPMEpistemicAudit:
             assert {b.reason for b in audit.bindings} == {"conditional premise"}
 
     def test_relaxed_budget_binding_succeeds(self):
-        audit = ep.pm_epistemic_audit((-1, -1, -1), capacity=3)
+        audit = ep.pm_epistemic_audit((-1, -1, -1), contextuality.standard_square(), capacity=3)
         assert not audit.all_bindings_refused
         succeeded = [b for b in audit.bindings if not b.refused]
         assert len(succeeded) == 12
@@ -253,17 +253,31 @@ class TestPMEpistemicAudit:
     def test_disagreeing_retrodiction_is_an_invariant_breach(self, monkeypatch):
         real = contextuality.retrodict_from_c
         monkeypatch.setattr(
-            contextuality, "retrodict_from_c", lambda c: replace(real(c), required_a_parity=+1)
+            contextuality,
+            "retrodict_from_c",
+            lambda c, square: replace(real(c, square), required_a_parity=+1),
         )
         with pytest.raises(InvariantError, match="disagrees"):
-            ep.pm_epistemic_audit((+1, +1, -1))
+            ep.pm_epistemic_audit((+1, +1, -1), contextuality.standard_square())
 
     def test_parity_underivable_when_the_ledger_holds_one_correlation(self):
-        audit = ep.pm_epistemic_audit((+1, +1, -1), capacity=1)
+        audit = ep.pm_epistemic_audit((+1, +1, -1), contextuality.standard_square(), capacity=1)
         assert not audit.parity_derivable
         assert audit.required_a_parity == 0
         assert audit.all_bindings_refused
 
     def test_even_c_rejected(self):
         with pytest.raises(ValueError, match="column constraint"):
-            ep.pm_epistemic_audit((+1, +1, +1))
+            ep.pm_epistemic_audit((+1, +1, +1), contextuality.standard_square())
+
+    def test_ledger_parity_matches_the_retrodiction_on_every_target_table(self):
+        """The correlations and B's parity come from the square: 64 tables, 4 C triples each."""
+        checked = 0
+        for targets in itertools.product((+1, -1), repeat=6):
+            square = contextuality.PMSquare(row_targets=targets[:3], col_targets=targets[3:])
+            for c in contextuality.valid_c_triples(square):
+                audit = ep.pm_epistemic_audit(c, square)
+                assert audit.required_a_parity != 0, (targets, c)
+                assert audit.required_a_parity == contextuality.retrodict_from_c(c, square).required_a_parity
+                checked += 1
+        assert checked == 256

@@ -230,11 +230,11 @@ class TestDoubleLift:
 
 class TestLiftedSquare:
     def test_six_constraints_on_reachable_subspace(self):
-        from wignerlab.contextuality import verify_square_constraints
+        from wignerlab.contextuality import standard_square, verify_square_constraints
 
         frame = scenarios.build_pm_frame()
         report = verify_square_constraints(frame.square)
-        assert report.all_ok
+        assert report.proved() == standard_square()
         targets = {"row1": 1, "row2": 1, "row3": 1, "colA": 1, "colB": 1, "colC": -1}
         for line in report.lines:
             assert line.value == pytest.approx(targets[line.line], abs=1e-10)

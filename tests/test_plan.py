@@ -10,7 +10,9 @@ Its C-branch verdicts come from the hand-written `c_outcome_consistent`
 oracle and the C triple's own parity, not from the constraint table.
 """
 
+import io
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import contextuality, friendify, qsim, scenarios
+from wignerlab import cli, contextuality, epistemic, friendify, qsim, scenarios
 from wignerlab.friendify import friend_unitary
 from wignerlab.qsim import QubitRegister, StateVector, apply_operator, basis_state, tensor_product
 from wignerlab.scenarios import PM_SYSTEM, SCHMIDT_TOL, SWEEP_SEED
@@ -246,7 +248,7 @@ def count_calls(monkeypatch, calls: dict, function) -> None:
         calls[name] += 1
         return function(*args, **kwargs)
 
-    for module in (contextuality, friendify, qsim, scenarios):
+    for module in (contextuality, epistemic, friendify, qsim, scenarios):
         if getattr(module, name, None) is function:
             monkeypatch.setattr(module, name, wrapper)
 
@@ -278,6 +280,20 @@ def test_sweep_compiles_frame_work_once(monkeypatch, fresh_frames):
     assert calls["friend_unitary"] == 2  # one per Hardy memory, fA and fB
 
 
+def test_frame_compiles_each_epistemic_audit_once(monkeypatch, fresh_frames, tmp_path):
+    calls = {}
+    count_calls(monkeypatch, calls, epistemic.pm_epistemic_audit)
+    frame = scenarios.build_pm_frame()
+    assert len(frame.c_branches) == 4
+    assert calls == {"pm_epistemic_audit": 4}  # one per C branch
+    for mode in cli.MODES:
+        for fmt in cli.FORMATS:
+            out = tmp_path / f"{mode}.{fmt}"
+            config = cli.RunConfig("peres-mermin", mode=mode, format=fmt, out=str(out))
+            assert cli.run_command(config, out=io.StringIO()) == 0
+    assert calls == {"pm_epistemic_audit": 4}
+
+
 @pytest.mark.parametrize("c_mode", MODES)
 def test_c_branches_share_the_plan_vectors(c_mode):
     frame = scenarios.build_pm_frame()
@@ -289,8 +305,8 @@ def test_c_branches_share_the_plan_vectors(c_mode):
 
 @pytest.mark.parametrize("c_mode", MODES)
 @pytest.mark.parametrize("flipped", ["row1", "row2", "row3", "colA", "colB", "colC"])
-def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, flipped, c_mode):
-    """Each of the six measured line values drives the frame: none is assumed."""
+def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, tmp_path, flipped, c_mode):
+    """Each of the six measured line values drives the frame and its epistemic audits: none is assumed."""
     original = contextuality.verify_square_constraints
 
     def flip(square):
@@ -314,6 +330,17 @@ def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, fl
     assert not any(branch.contradiction for branch in report.c_branches)
     assert report.contradiction is False
     assert report.a_parity_even is (flipped != "colA")
+    for branch in report.c_branches:
+        assert branch.audit.required_a_parity == branch.retrodiction.required_a_parity
+    # The CLI's epistemic block agrees with the C branches it reports.
+    out = tmp_path / "report.json"
+    mode = "projective" if c_mode == "projective" else "expectation"
+    config = cli.RunConfig("peres-mermin", mode=mode, format="structured", out=str(out))
+    assert cli.run_command(config, out=io.StringIO()) == 0
+    doc = json.loads(out.read_text())
+    assert [e["outcome"] for e in doc["epistemic"]] == [b["outcome"] for b in doc["c_branches"]]
+    for audit, branch in zip(doc["epistemic"], doc["c_branches"]):
+        assert audit["required_a_parity"] == branch["required_a_parity"]
 
 
 def test_hardy_frame_compiles_its_implication_contexts():
