@@ -60,8 +60,8 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-        if self.out is not None and not (isinstance(self.out, str) and self.out):
-            raise ConfigError(f"out must be a non-empty path string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out and "\0" not in self.out):
+            raise ConfigError(f"out must be a non-empty path string without NUL, got {self.out!r}")
 
     @property
     def c_mode(self) -> str:
@@ -95,14 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a too-long integer, or nesting too deep
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}:1:1: config must be a JSON object")
@@ -140,7 +138,7 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
             return basis_state(register, spec)
         try:
             listed = json.loads(spec)
-        except ValueError:  # malformed JSON, or an integer too long to convert
+        except (ValueError, RecursionError):  # malformed JSON, a too-long integer, or nesting too deep
             raise ConfigError(
                 f"state {spec!r} is not a Bell name, basis bits, or amplitude list"
             ) from None

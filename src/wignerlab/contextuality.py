@@ -20,6 +20,7 @@ from .qsim import (
     QubitRegister,
     SpectralObservable,
     identity_observable,
+    max_commutator,
     pauli_observable,
     tensor_product,
 )
@@ -148,8 +149,7 @@ def verify_square_constraints(operators, tol: float = STRUCT_TOL) -> SquareRepor
     for line_name, _, cells in standard_square().lines:
         members = [grid[i][j] for i, j in cells]
         mats = [m.matrix() for m in members]
-        for a, b in itertools.combinations(mats, 2):
-            max_comm = max(max_comm, float(np.max(np.abs(a @ b - b @ a))))
+        max_comm = max(max_comm, max_commutator(mats)[0])
         product = functools.reduce(np.matmul, mats)
         support = functools.reduce(np.matmul, [m.support for m in members])
         value = float(np.trace(product).real / max(np.trace(support).real, 1.0))

@@ -417,6 +417,9 @@ def pm_epistemic_audit(c, square: contextuality.PMSquare, capacity: int = 2) -> 
     requires an anchor the ledger cannot hold at the default capacity, so
     every such binding is refused.
     """
+    unset = [name for name, target, _ in square.lines if target is None and name not in ("colA", "colC")]
+    if unset:
+        raise ValueError(f"the audit reads the square's {', '.join(unset)} targets, which are unset")
     c = tuple(int(v) for v in c)
     retrodicted = contextuality.retrodict_from_c(c, square).required_a_parity  # rejects an invalid c
     correlations = {

@@ -11,7 +11,9 @@ a silent truncation.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,45 +357,33 @@ def _tensor_states(parts) -> StateVector:
 
 def _tensor_observables(parts) -> SpectralObservable:
     register = _concat_registers(parts)
+    combos = itertools.product(*(p.branches for p in parts))
+    branches = _summed_by_product(
+        (tuple(eig for eig, _ in combo), functools.reduce(np.kron, (proj for _, proj in combo)))
+        for combo in combos
+    )
+    name = "*".join(p.name for p in parts if p.name)
+    return SpectralObservable(register, branches, name)
+
+
+def _summed_by_product(pairs) -> tuple[tuple[int, np.ndarray], ...]:
+    """Spectral branches from (eigenvalues, projector) pairs, summed by eigenvalue product."""
     accumulated: dict[int, np.ndarray] = {}
-    for combo in itertools.product(*(p.branches for p in parts)):
-        eigenvalue = 1
-        projector = np.eye(1, dtype=complex)
-        for eig, proj in combo:
-            eigenvalue *= eig
-            projector = np.kron(projector, proj)
+    for eigenvalues, projector in pairs:
+        eigenvalue = math.prod(eigenvalues)
         if eigenvalue in accumulated:
             accumulated[eigenvalue] = accumulated[eigenvalue] + projector
         else:
             accumulated[eigenvalue] = projector
-    branches = tuple((eig, accumulated[eig]) for eig in (+1, -1) if eig in accumulated)
-    name = "*".join(p.name for p in parts if p.name)
-    return SpectralObservable(register, branches, name)
+    return tuple((eig, accumulated[eig]) for eig in (+1, -1) if eig in accumulated)
 
 
 def product_observable(observables, name: str = "") -> SpectralObservable:
     """Operator product of pairwise commuting observables on one register."""
     observables = list(observables)
     register = observables[0].register
-    for obs in observables[1:]:
-        if obs.register.labels != register.labels:
-            raise ValueError("product_observable factors must share a register")
-    _check_commuting(observables)
-    accumulated: dict[int, np.ndarray] = {}
-    for combo in itertools.product(*(o.branches for o in observables)):
-        eigenvalue = 1
-        projector = np.eye(register.dim, dtype=complex)
-        for eig, proj in combo:
-            eigenvalue *= eig
-            projector = projector @ proj
-        if np.max(np.abs(projector)) < STRUCT_TOL:
-            continue
-        if eigenvalue in accumulated:
-            accumulated[eigenvalue] = accumulated[eigenvalue] + projector
-        else:
-            accumulated[eigenvalue] = projector
-    branches = tuple((eig, accumulated[eig]) for eig in (+1, -1) if eig in accumulated)
-    return SpectralObservable(register, branches, name)
+    pairs = ((eigs, proj) for eigs, proj, _ in _joint_spaces(register, observables))
+    return SpectralObservable(register, _summed_by_product(pairs), name)
 
 
 def apply_operator(state: StateVector, op: np.ndarray, targets) -> StateVector:
@@ -417,27 +407,9 @@ def apply_operator(state: StateVector, op: np.ndarray, targets) -> StateVector:
     return StateVector(state.register, psi.reshape(-1))
 
 
-def _aligned(obs: SpectralObservable, state: StateVector) -> SpectralObservable:
-    if obs.register.labels == state.register.labels:
-        return obs
-    return obs.embedded(state.register)
-
-
-def _support_leak(state: StateVector, support: np.ndarray) -> float:
-    inside = np.vdot(state.amplitudes, support @ state.amplitudes).real
-    return max(0.0, 1.0 - float(inside))
-
-
 def expectation(state: StateVector, obs: SpectralObservable) -> float:
-    """Sum of eigenvalue * <state|projector|state>; errors on out-of-support states."""
-    obs = _aligned(obs, state)
-    leak = _support_leak(state, obs.support)
-    if leak > SUPPORT_LEAK_TOL:
-        raise OutOfSupportError(leak)
-    value = complex(np.vdot(state.amplitudes, obs.matrix() @ state.amplitudes))
-    if abs(value.imag) > STRUCT_TOL:
-        raise InvariantError(f"expectation has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    """Sum of eigenvalue * Born probability over its branches; errors on out-of-support states."""
+    return sum(b.records[obs.name] * b.probability for b in branch_decompose(state, [obs]))
 
 
 @dataclass(frozen=True)
@@ -448,21 +420,14 @@ class MeasurementOutcome:
 
 
 def measure_projective(state: StateVector, obs: SpectralObservable) -> list[MeasurementOutcome]:
-    """Born probabilities and renormalized projected states for each eigenvalue."""
-    obs = _aligned(obs, state)
-    leak = _support_leak(state, obs.support)
-    if leak > SUPPORT_LEAK_TOL:
-        raise OutOfSupportError(leak)
-    outcomes = []
-    for eigenvalue, projector in obs.branches:
-        component = projector @ state.amplitudes
-        prob = float(np.vdot(component, component).real)
-        if np.sqrt(prob) < BRANCH_AMP_TOL:
-            outcomes.append(MeasurementOutcome(eigenvalue, 0.0, None))
-        else:
-            post = StateVector(state.register, component / np.sqrt(prob))
-            outcomes.append(MeasurementOutcome(eigenvalue, prob, post))
-    return outcomes
+    """Born probability and phase-fixed projected state per eigenvalue; 0.0 and None without a branch."""
+    branches = {b.records[obs.name]: b for b in branch_decompose(state, [obs])}
+    return [
+        MeasurementOutcome(eig, branches[eig].probability, branches[eig].vector)
+        if eig in branches
+        else MeasurementOutcome(eig, 0.0, None)
+        for eig in obs.eigenvalues
+    ]
 
 
 @dataclass(frozen=True)
@@ -478,15 +443,34 @@ class Branch:
         return abs(self.amplitude) ** 2
 
 
-def _check_commuting(observables) -> None:
-    matrices = [obs.matrix() for obs in observables]
+def max_commutator(matrices) -> tuple[float, int, int]:
+    """Largest entry of any pairwise commutator of a matrix family, with the pair (i, j) behind it."""
+    worst = (0.0, 0, 0)
     for (i, a), (j, b) in itertools.combinations(enumerate(matrices), 2):
-        deviation = np.max(np.abs(a @ b - b @ a))
-        if deviation > STRUCT_TOL:
-            raise ValueError(
-                f"observables {observables[i].name!r} and {observables[j].name!r} "
-                f"do not commute (deviation {deviation:.3e})"
-            )
+        worst = max(worst, (float(np.max(np.abs(a @ b - b @ a))), i, j))
+    return worst
+
+
+def _joint_spaces(register: QubitRegister, observables):
+    """Yield (eigenvalues, projector, rank) for each nonzero joint eigenspace of a commuting family."""
+    for obs in observables:
+        if obs.register.labels != register.labels:
+            raise ValueError(f"observable {obs.name!r} is not on register {register.labels}")
+    deviation, i, j = max_commutator([obs.matrix() for obs in observables])
+    if deviation > STRUCT_TOL:
+        raise ValueError(
+            f"observables {observables[i].name!r} and {observables[j].name!r} "
+            f"do not commute (deviation {deviation:.3e})"
+        )
+    identity = np.eye(register.dim, dtype=complex)
+    for combo in itertools.product(*(o.branches for o in observables)):
+        projector = functools.reduce(np.matmul, (proj for _, proj in combo), identity)
+        trace = float(np.trace(projector).real)
+        rank = round(trace)
+        if abs(trace - rank) > RANK_TOL:
+            raise InvariantError(f"joint projector trace {trace!r} is not near an integer")
+        if rank:
+            yield tuple(eig for eig, _ in combo), projector, rank
 
 
 @dataclass(frozen=True)
@@ -516,19 +500,9 @@ def joint_eigenbasis(register: QubitRegister, observables) -> JointEigenbasis:
     names = [obs.name for obs in observables]
     if len(set(names)) != len(names):
         raise ValueError(f"observables must carry distinct names, got {names}")
-    _check_commuting(observables)
     spaces = []
-    for combo in itertools.product(*(o.branches for o in observables)):
-        projector = np.eye(register.dim, dtype=complex)
-        for _, proj in combo:
-            projector = projector @ proj
-        trace = float(np.trace(projector).real)
-        rank = round(trace)
-        if abs(trace - rank) > RANK_TOL:
-            raise InvariantError(f"joint projector trace {trace!r} is not near an integer")
-        if rank == 0:
-            continue
-        records = {name: eig for name, (eig, _) in zip(names, combo)}
+    for eigenvalues, projector, rank in _joint_spaces(register, observables):
+        records = dict(zip(names, eigenvalues))
         if rank == 1:
             vector = StateVector(register, _extract_unit_vector(projector))
             spaces.append(JointEigenspace(records, vector, None))

@@ -182,16 +182,26 @@ class TestSweepCommand:
         assert "kind: pm-sweep" in doc_text
         assert "- [0]" not in doc_text  # no run items
 
-    def test_determinism_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            run_main(
-                [
-                    "--scenario", "pm-sweep", "--runs", "3", "--seed", "77",
-                    "--format", "structured", "--out", str(path),
-                ]
-            )
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    @pytest.mark.parametrize("format", cli.FORMATS)
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "hardy"],
+            ["--scenario", "peres-mermin", "--state", "[[0.5,0.5],0,[0,-0.5],0.5]"],
+            ["--scenario", "peres-mermin", "--state", "[[0.5,0.5],0,[0,-0.5],0.5]", "--mode", "expectation"],
+            ["--scenario", "pm-sweep", "--runs", "3", "--seed", "77"],
+        ],
+        ids=["hardy", "peres-mermin-projective", "peres-mermin-expectation", "pm-sweep"],
+    )
+    def test_determinism_byte_identical(self, fresh_frames, tmp_path, capsys, flags, format):
+        # The first run builds the frame, the second reads the cached one.
+        reports, summaries = [], []
+        for path in (tmp_path / "a", tmp_path / "b"):
+            assert run_main(flags + ["--format", format, "--out", str(path)]) == 0
+            reports.append(path.read_bytes())
+            summaries.append(capsys.readouterr().out.replace(str(path), "<out>"))
+        assert reports[0] == reports[1]
+        assert summaries[0] == summaries[1]
 
 
 class TestConfigFile:
@@ -293,6 +303,9 @@ class TestExitCodes:
             ([], {"scenario": "peres-mermin", "state": False}),
             (["--scenario", "hardy", "--state", ""], {}),
             (["--scenario", "peres-mermin", "--state", ""], {}),
+            (["--scenario", "hardy", "--state", "[" * 50000], {}),
+            ([], '"state": ' + "[" * 50000),
+            ([], {"out": "a\u0000b"}),
         ],
         ids=[
             "negative-seed", "string-runs", "bool-runs", "float-seed", "int-out", "empty-out-config",
@@ -300,7 +313,8 @@ class TestExitCodes:
             "out-under-file", "string-part-state", "null-part-state", "bool-state",
             "overflow-state", "too-many-digits-state", "too-many-digits-config",
             "empty-string-state", "empty-list-state", "zero-state", "false-state",
-            "empty-state-flag-hardy", "empty-state-flag-pm",
+            "empty-state-flag-hardy", "empty-state-flag-pm", "nested-state-flag", "nested-config",
+            "nul-out",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, flags, config):
@@ -315,6 +329,12 @@ class TestExitCodes:
         argv = ["--config", str(path)] + [f.replace("{blocker}", str(blocker)) for f in flags]
         assert run_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b'{"scenario": "hardy", "out": "r\xe9sultat.txt"}')
+        assert run_main(["--config", str(config)]) == 2
+        assert "latin1.json" in capsys.readouterr().err
 
     def test_output_dir_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

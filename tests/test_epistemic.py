@@ -266,6 +266,19 @@ class TestPMEpistemicAudit:
         assert audit.required_a_parity == 0
         assert audit.all_bindings_refused
 
+    @pytest.mark.parametrize(
+        "square, unset",
+        [
+            (contextuality.rows_only_square(), "colB"),
+            (contextuality.PMSquare(col_targets=(+1, None, -1)), "colB"),
+            (contextuality.PMSquare(row_targets=(+1, None, +1)), "row2"),
+        ],
+        ids=["rows-only", "colB-unset", "row2-unset"],
+    )
+    def test_unset_target_the_audit_reads_is_named(self, square, unset):
+        with pytest.raises(ValueError, match=f"{unset} targets"):
+            ep.pm_epistemic_audit((+1, +1, -1), square)
+
     def test_even_c_rejected(self):
         with pytest.raises(ValueError, match="column constraint"):
             ep.pm_epistemic_audit((+1, +1, +1), contextuality.standard_square())

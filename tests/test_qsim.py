@@ -35,6 +35,33 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def random_family(reg: QubitRegister, rng: np.random.Generator, count: int, full_support: bool):
+    """`count` commuting observables diagonal in one random basis, with their dense matrices and supports.
+
+    Each basis column gets eigenvalue +1 or -1, or (without full support) 0 for outside the support.
+    """
+    basis = random_unitary(reg.dim, rng)
+    family = []
+    for k in range(count):
+        labels = rng.choice((+1, -1) if full_support else (+1, -1, 0), size=reg.dim)
+        labels[rng.integers(reg.dim)] = rng.choice((+1, -1))
+        branches = tuple(
+            (eig, basis[:, labels == eig] @ basis[:, labels == eig].conj().T)
+            for eig in (+1, -1)
+            if (labels == eig).any()
+        )
+        matrix = basis @ np.diag(labels) @ basis.conj().T
+        support = basis @ np.diag(labels != 0) @ basis.conj().T
+        family.append((SpectralObservable(reg, branches, f"M{k}"), matrix, support))
+    return family
+
+
+def dense_projector(observable: SpectralObservable, eigenvalue: int) -> np.ndarray:
+    if eigenvalue in observable.eigenvalues:
+        return observable.projector(eigenvalue)
+    return np.zeros((observable.register.dim,) * 2)
+
+
 class TestRegister:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -210,6 +237,68 @@ class TestMeasureProjective:
             for o in outcomes:
                 if o.post_state is not None:
                     assert abs(np.linalg.norm(o.post_state.amplitudes) - 1.0) < 1e-12
+
+
+    def test_out_of_support_signal(self):
+        reg = QubitRegister(("m", "s"))
+        plus = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
+        obs = qsim.observable_from_eigenvectors(reg, plus, minus, "lifted")
+        with pytest.raises(qsim.OutOfSupportError) as err:
+            measure_projective(normalized_state(reg, [1, 1, 0, 0]), obs)
+        assert err.value.leaked_weight == pytest.approx(0.5, abs=1e-10)
+
+
+class TestDenseOracle:
+    """The kernel against dense linear algebra on seeded random 2-3 qubit cases, within 1e-12."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_expectation_and_measurement(self, size):
+        rng = np.random.default_rng(SEED + size)
+        reg = QubitRegister(tuple("abc"[:size]))
+        for _ in range(50):
+            state = random_state(reg, rng)
+            psi = state.amplitudes
+            # An observable on the leading k qubits, identity on the rest.
+            k = int(rng.integers(1, size + 1))
+            obs, matrix, _ = random_family(QubitRegister(reg.labels[:k]), rng, 1, True)[0]
+            rest = np.eye(2 ** (size - k))
+            assert abs(expectation(state, obs) - np.vdot(psi, np.kron(matrix, rest) @ psi).real) < 1e-12
+            outcomes = measure_projective(state, obs)
+            assert [o.eigenvalue for o in outcomes] == list(obs.eigenvalues)
+            for outcome in outcomes:
+                component = np.kron(obs.projector(outcome.eigenvalue), rest) @ psi
+                weight = np.vdot(component, component).real
+                assert abs(outcome.probability - weight) < 1e-12
+                expected = component / np.sqrt(weight)
+                overlap = np.vdot(outcome.post_state.amplitudes, expected)
+                phase = overlap / abs(overlap)
+                assert np.max(np.abs(outcome.post_state.amplitudes * phase - expected)) < 1e-12
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_product_observable(self, size):
+        rng = np.random.default_rng(SEED + size)
+        reg = QubitRegister(tuple("abc"[:size]))
+        for _ in range(50):
+            family = random_family(reg, rng, int(rng.integers(1, 4)), False)
+            product = product_observable([obs for obs, _, _ in family])
+            matrix = np.linalg.multi_dot([np.eye(reg.dim)] + [m for _, m, _ in family])
+            support = np.linalg.multi_dot([np.eye(reg.dim)] + [s for _, _, s in family])
+            for eig in (+1, -1):
+                expected = (support + eig * matrix) / 2
+                assert np.max(np.abs(dense_projector(product, eig) - expected)) < 1e-12
+
+    def test_tensor_product(self):
+        rng = np.random.default_rng(SEED)
+        for _ in range(50):
+            split = int(rng.integers(1, 3))
+            left = random_family(QubitRegister(("a", "b")[:split]), rng, 1, False)[0]
+            right = random_family(QubitRegister(("c",)), rng, 1, False)[0]
+            product = tensor_product([left[0], right[0]])
+            matrix, support = np.kron(left[1], right[1]), np.kron(left[2], right[2])
+            for eig in (+1, -1):
+                expected = (support + eig * matrix) / 2
+                assert np.max(np.abs(dense_projector(product, eig) - expected)) < 1e-12
 
 
 class TestBranchDecompose:
