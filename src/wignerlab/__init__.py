@@ -11,7 +11,6 @@ from .qsim import (
     basis_state,
     branch_decompose,
     expectation,
-    measure_projective,
     tensor_product,
 )
 from .friendify import (

@@ -34,9 +34,18 @@ FORMATS = ("text", "structured")
 STATE_NORM_TOL = 1e-8
 STATE_NORM_QUIET = 1e-12
 
+# An error message echoes at most this many characters of a rejected input.
+ECHO_CHARS = 60
+
 
 class ConfigError(Exception):
     pass
+
+
+def _echo(value) -> str:
+    """The repr of a rejected input, cut to ECHO_CHARS characters plus its full length."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 @dataclass
@@ -51,17 +60,17 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {_echo(self.scenario)}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {_echo(self.mode)}")
         if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+            raise ConfigError(f"format must be one of {FORMATS}, got {_echo(self.format)}")
         for key in ("seed", "runs"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+                raise ConfigError(f"{key} must be a non-negative integer, got {_echo(value)}")
         if self.out is not None and not (isinstance(self.out, str) and self.out and "\0" not in self.out):
-            raise ConfigError(f"out must be a non-empty path string without NUL, got {self.out!r}")
+            raise ConfigError(f"out must be a non-empty path string without NUL, got {_echo(self.out)}")
 
     @property
     def c_mode(self) -> str:
@@ -106,10 +115,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:1:1: config must be a JSON object")
     schema = doc.pop("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
-        raise ConfigError(f"{path}: unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}")
+        raise ConfigError(f"{path}: unsupported schema {_echo(schema)}, expected {CONFIG_SCHEMA!r}")
     unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys {_echo(sorted(unknown))}")
     return doc
 
 
@@ -140,23 +149,23 @@ def parse_state(spec, warn=lambda msg: print(msg, file=sys.stderr)) -> StateVect
             listed = json.loads(spec)
         except (ValueError, RecursionError):  # malformed JSON, a too-long integer, or nesting too deep
             raise ConfigError(
-                f"state {spec!r} is not a Bell name, basis bits, or amplitude list"
+                f"state {_echo(spec)} is not a Bell name, basis bits, or amplitude list"
             ) from None
     else:
         listed = spec
     if not isinstance(listed, list) or len(listed) != 4:
-        raise ConfigError(f"explicit amplitude lists must have length 4, got {listed!r}")
+        raise ConfigError(f"explicit amplitude lists must have length 4, got {_echo(listed)}")
     bound = 1.0 + STATE_NORM_TOL
     amps = []
     for entry in listed:
         parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-            raise ConfigError(f"amplitude entries must be real numbers or [re, im] pairs, got {entry!r}")
+            raise ConfigError(f"amplitude entries must be real numbers or [re, im] pairs, got {_echo(entry)}")
         if not all(isinstance(p, int) or math.isfinite(p) for p in parts):
-            raise ConfigError(f"amplitudes must be finite, got {listed!r}")
+            raise ConfigError(f"amplitudes must be finite, got {_echo(listed)}")
         # Exact comparisons first, so huge integers never reach a float conversion.
         if any(abs(p) > bound for p in parts) or math.hypot(*parts) > bound:
-            raise ConfigError(f"amplitude {entry!r} has modulus above {bound!r}")
+            raise ConfigError(f"amplitude {_echo(entry)} has modulus above {bound!r}")
         amps.append(complex(*parts))
     norm = float(np.linalg.norm(amps))
     deviation = abs(norm - 1.0)

@@ -163,11 +163,6 @@ def random_state(register: QubitRegister, rng: np.random.Generator) -> StateVect
     return normalized_state(register, raw)
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float = STRUCT_TOL) -> bool:
-    """Equality up to global phase via |<a|b>|."""
-    return abs(abs(a.overlap(b)) - 1.0) <= tol
-
-
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -410,24 +405,6 @@ def apply_operator(state: StateVector, op: np.ndarray, targets) -> StateVector:
 def expectation(state: StateVector, obs: SpectralObservable) -> float:
     """Sum of eigenvalue * Born probability over its branches; errors on out-of-support states."""
     return sum(b.records[obs.name] * b.probability for b in branch_decompose(state, [obs]))
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    eigenvalue: int
-    probability: float
-    post_state: StateVector | None
-
-
-def measure_projective(state: StateVector, obs: SpectralObservable) -> list[MeasurementOutcome]:
-    """Born probability and phase-fixed projected state per eigenvalue; 0.0 and None without a branch."""
-    branches = {b.records[obs.name]: b for b in branch_decompose(state, [obs])}
-    return [
-        MeasurementOutcome(eig, branches[eig].probability, branches[eig].vector)
-        if eig in branches
-        else MeasurementOutcome(eig, 0.0, None)
-        for eig in obs.eigenvalues
-    ]
 
 
 @dataclass(frozen=True)

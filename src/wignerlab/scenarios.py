@@ -3,9 +3,9 @@
 Two scenarios are provided: the two-Wigner Hardy-state protocol (probabilistic
 contradiction via an implication chain) and the three-agent Peres-Mermin
 protocol (deterministic, state-independent contradiction).  Friend
-measurements are modeled unitarily; agent records are recovered by
-branch-decomposing against record-readout observables, so a run produces the
-full multi-branch narrative rather than a single sampled outcome.
+measurements are modeled unitarily, and each stage compiles once into a fixed
+map from the four system amplitudes to its branch amplitudes, so a run yields
+the full multi-branch narrative rather than a single sampled outcome.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +28,21 @@ from .friendify import (
     record_observable,
 )
 from .qsim import (
+    BRANCH_AMP_TOL,
     PROBABILITY_TOL,
+    STRUCT_TOL,
+    SUPPORT_LEAK_TOL,
     InvariantError,
     JointEigenbasis,
     QubitRegister,
     SpectralObservable,
     StateVector,
+    _extract_unit_vector,
     apply_operator,
     basis_state,
     joint_eigenbasis,
     normalized_state,
     pauli_observable,
-    project_branches,
     random_state,
     tensor_product,
 )
@@ -69,67 +73,95 @@ class BranchRecord:
 
 
 @dataclass(frozen=True)
-class FriendStage:
-    """One agent's friend measurements, compiled once with the frame.
+class BranchMap:
+    """A stage compiled with its frame: branch k has `records[k]` and amplitude `rows[k] @ s`.
 
-    `unitaries` are the (targets, friend unitary) pairs in the order they are
-    applied; the records are read off the joint eigenbasis of the agent's
-    record readouts, and `derived` maps an extra record name to the pair of
-    record names whose product defines it.
+    s holds the four system amplitudes, `reach` is U E (E adds every memory in |0>, U
+    applies the friend unitaries so far) and row k is w_k^H U E, with w_k = `vectors[k]`
+    the phase-fixed vector of joint eigenspace k on that reachable set.  The rows must
+    form an isometry, so every state's branches carry all of its weight.
     """
 
-    agent: str
-    unitaries: tuple[tuple[tuple[str, ...], np.ndarray], ...]
-    derived: dict[str, tuple[str, str]]
-    basis: JointEigenbasis
+    records: tuple[dict[str, int], ...]
+    vectors: np.ndarray
+    rows: np.ndarray
+    reach: np.ndarray
 
-    def run(self, state: StateVector) -> tuple[StateVector, tuple[BranchRecord, ...]]:
-        """Apply the friend unitaries, then read every branch's records."""
-        for targets, unitary in self.unitaries:
-            state = apply_operator(state, unitary, targets)
-        records = []
-        for branch in project_branches(state, self.basis):
-            outcomes = dict(branch.records)
-            for extra, (left, right) in self.derived.items():
-                outcomes[extra] = outcomes[left] * outcomes[right]
-            records.append(BranchRecord(outcomes, branch.amplitude, branch.probability))
-        return state, tuple(records)
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+        deviation = float(np.max(np.abs(self.rows.conj().T @ self.rows - np.eye(4))))
+        if not deviation <= STRUCT_TOL:
+            raise InvariantError(f"stage map is not an isometry on the system state (deviation {deviation!r})")
 
 
-def friend_stage(agent: str, register: QubitRegister, mems, readouts, derived=None) -> FriendStage:
-    """Compile an agent's memories (in application order) and their record readouts."""
-    return FriendStage(
-        agent,
-        tuple((mem.targets, friend_unitary(mem)) for mem in mems),
-        dict(derived or {}),
-        joint_eigenbasis(register, readouts),
-    )
+def _branch_map(basis: JointEigenbasis, reach: np.ndarray, derived: dict | None = None) -> BranchMap:
+    """Each joint eigenspace's vector on the reachable set `reach` (U E), with its derived records.
+
+    A degenerate space must be rank 1 there, so its canonical vector on that
+    set carries every reachable state's component in it.
+    """
+    records, vectors = [], []
+    for space in basis.spaces:
+        if space.vector is not None:
+            vector = space.vector.amplitudes
+        else:
+            image = space.projector @ reach
+            vector = _extract_unit_vector(image @ image.conj().T)
+            residual = float(np.max(np.abs(image - np.outer(vector, vector.conj() @ image))))
+            if not residual <= STRUCT_TOL:
+                raise InvariantError(f"eigenspace {space.records} is not rank 1 on the reachable states ({residual!r})")
+        outcome = dict(space.records)
+        for extra, (left, right) in (derived or {}).items():
+            outcome[extra] = outcome[left] * outcome[right]
+        records.append(outcome)
+        vectors.append(vector)
+    vectors = np.array(vectors)
+    return BranchMap(tuple(records), vectors, vectors.conj() @ reach, reach)
+
+
+def _compile_stages(register: QubitRegister, stages) -> Iterator[BranchMap]:
+    """Branch maps of stages: (memories recorded first, readout observables[, derived records]) each."""
+    columns = [StateVector(register, unit) for unit in np.eye(register.dim)[:: register.dim // 4]]
+    for mems, readouts, *derived in stages:
+        for mem in mems:
+            unitary = friend_unitary(mem)
+            columns = [apply_operator(column, unitary, mem.targets) for column in columns]
+        reach = np.column_stack([column.amplitudes for column in columns])
+        yield _branch_map(joint_eigenbasis(register, readouts), reach, *derived)
+
+
+def _branches(stage: BranchMap, system: np.ndarray) -> tuple[BranchRecord, ...]:
+    """The branches of one run through a compiled stage: the executor of both protocols."""
+    pairs = zip(stage.records, (stage.rows @ system).tolist())
+    branches = tuple(BranchRecord(dict(r), a, abs(a) ** 2) for r, a in pairs if abs(a) >= BRANCH_AMP_TOL)
+    total = sum(branch.probability for branch in branches)
+    if not abs(total - 1.0) <= SUPPORT_LEAK_TOL:
+        raise InvariantError(f"branches carry total weight {total!r}, not 1")
+    return branches
 
 
 @dataclass(frozen=True)
 class HardyFrame:
-    register: QubitRegister
     mem_a: MemoryAssignment
     mem_b: MemoryAssignment
     wigner_a: SpectralObservable
     wigner_b: SpectralObservable
     friend_a: SpectralObservable
     friend_b: SpectralObservable
-    friends: FriendStage
-    wigner_basis: JointEigenbasis
+    friends: BranchMap
+    wigner: BranchMap
     # Mixed implication contexts (A, FB), (FA, B); (FA, FB) is read off the friend records.
-    contexts: tuple[JointEigenbasis, JointEigenbasis]
+    contexts: tuple[BranchMap, BranchMap]
 
 
 @dataclass(frozen=True)
 class PMFrame:
     """The square protocol's operators and everything a run reads that depends only on them.
 
-    Besides the observables, the frame holds the A and B friend stages, the C
-    stage's joint eigenbasis (four rank-1 spaces, shared by both C modes), the
-    square-constraint report (whose proved square gives the A parity and
-    every C verdict), and each valid C triple's audited branch, keyed by outcome.
-    Each branch's retrodiction and epistemic audit read the proved square.
+    Besides the observables, the frame holds the branch maps of the A and B
+    friend stages (keyed by agent) and of the C stage (shared by both C modes),
+    the square-constraint report, whose proved square gives the A parity and
+    every C verdict, and each valid C triple's audited branch, keyed by outcome.
     """
 
     register: QubitRegister
@@ -139,8 +171,8 @@ class PMFrame:
     square: tuple[tuple[SpectralObservable, ...], ...]
     double1: DoubleLift
     double2: DoubleLift
-    stages: tuple[FriendStage, ...]
-    c_basis: JointEigenbasis
+    stages: dict[str, BranchMap]
+    c_map: BranchMap
     square_report: contextuality.SquareReport
     a_parity_even: bool
     c_branches: dict[tuple[int, int, int], CBranch]
@@ -157,7 +189,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CBranch:
-    """An audited C outcome; `vector` spans its rank-1 eigenspace and is shared by every run."""
+    """An audited C outcome; `vector` spans its eigenspace on the reachable states and is shared by every run."""
 
     outcome: tuple[int, int, int]
     vector: StateVector
@@ -238,22 +270,16 @@ def build_hardy_frame() -> HardyFrame:
     wigner_b = lift_observable(mem_b, name="B")[0].embedded(HARDY_REGISTER)
     friend_a = record_observable(mem_a, "FA").embedded(HARDY_REGISTER)
     friend_b = record_observable(mem_b, "FB").embedded(HARDY_REGISTER)
-    friends = friend_stage("friends", HARDY_REGISTER, (mem_a, mem_b), (friend_a, friend_b))
-    return HardyFrame(
-        register=HARDY_REGISTER,
-        mem_a=mem_a,
-        mem_b=mem_b,
-        wigner_a=wigner_a,
-        wigner_b=wigner_b,
-        friend_a=friend_a,
-        friend_b=friend_b,
-        friends=friends,
-        wigner_basis=joint_eigenbasis(HARDY_REGISTER, (wigner_a, wigner_b)),
-        contexts=(
-            joint_eigenbasis(HARDY_REGISTER, (wigner_a, friend_b)),
-            joint_eigenbasis(HARDY_REGISTER, (friend_a, wigner_b)),
-        ),
+    friends, wigner, a_fb, fa_b = _compile_stages(
+        HARDY_REGISTER,
+        [
+            ((mem_a, mem_b), (friend_a, friend_b)),
+            ((), (wigner_a, wigner_b)),
+            ((), (wigner_a, friend_b)),
+            ((), (friend_a, wigner_b)),
+        ],
     )
+    return HardyFrame(mem_a, mem_b, wigner_a, wigner_b, friend_a, friend_b, friends, wigner, (a_fb, fa_b))
 
 
 def build_hardy_scenario(system_state: StateVector | None = None) -> Scenario:
@@ -267,8 +293,7 @@ def build_hardy_scenario(system_state: StateVector | None = None) -> Scenario:
     if system.register.size != 2:
         raise ValueError("Hardy scenario needs a 2-qubit system state")
     system = StateVector(HARDY_SYSTEM, system.amplitudes)
-    initial = tensor_product([system, basis_state(QubitRegister(("fA", "fB")), "00")])
-    return Scenario("hardy", system, initial, frame)
+    return Scenario("hardy", system, tensor_product([system, basis_state(QubitRegister(("fA", "fB")), "00")]), frame)
 
 
 def extract_implications(branches) -> list[Implication]:
@@ -329,15 +354,11 @@ def run_fr_protocol(scenario: Scenario) -> HardyReport:
     if scenario.kind != "hardy":
         raise ValueError(f"expected a hardy scenario, got {scenario.kind!r}")
     frame: HardyFrame = scenario.frame
-    post_friends, friend_records = frame.friends.run(scenario.initial_state)
-    distribution: dict[tuple[int, int], float] = {}
-    amplitudes: dict[tuple[int, int], complex] = {}
-    for branch in project_branches(post_friends, frame.wigner_basis):
-        key = (branch.records["A"], branch.records["B"])
-        distribution[key] = branch.probability
-        amplitudes[key] = branch.amplitude
+    system = scenario.system_state.amplitudes
+    friend_records, wigner, a_fb, fa_b = (_branches(m, system) for m in (frame.friends, frame.wigner, *frame.contexts))
+    distribution = {(b.records["A"], b.records["B"]): b.probability for b in wigner}
+    amplitudes = {(b.records["A"], b.records["B"]): b.amplitude for b in wigner}
 
-    a_fb, fa_b = (project_branches(post_friends, basis) for basis in frame.contexts)
     implications = []
     for branches in (a_fb, friend_records, fa_b):
         implications += extract_implications(branches)
@@ -348,13 +369,13 @@ def run_fr_protocol(scenario: Scenario) -> HardyReport:
 
     return HardyReport(
         initial_amplitudes=tuple(scenario.system_state.amplitudes),
-        stage_records={frame.friends.agent: friend_records},
+        stage_records={"friends": friend_records},
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
         implications=tuple(implications),
         chain=chain,
         contradiction=contradiction,
-        final_state=post_friends,
+        final_state=StateVector(HARDY_REGISTER, frame.friends.reach @ system),
     )
 
 
@@ -420,45 +441,35 @@ def build_pm_frame() -> PMFrame:
         "B1": record_observable(mem_b2, "B1").embedded(register),
         "B2": record_observable(mem_b1, "B2").embedded(register),
     }
+    a_map, b_map, c_map = _compile_stages(
+        register,
+        [
+            ((mem_a1, mem_a2), (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}),
+            ((mem_b2, mem_b1), (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}),
+            ((), (c1, c2, c3)),
+        ],
+    )
     # Every verdict below reads the square the operators prove.  The C stage must split
-    # into exactly its C triples, each a rank-1 joint eigenspace; both C modes then
-    # audit the same fixed vectors.
+    # into exactly its C triples; both C modes then audit the same fixed vectors.
     square_report = contextuality.verify_square_constraints(square)
     proved = square_report.proved()
-    c_basis = joint_eigenbasis(register, (c1, c2, c3))
-    outcomes = [_c_outcome(space.records) for space in c_basis.spaces]
-    rank_one = all(space.vector is not None for space in c_basis.spaces)
-    if outcomes != contextuality.valid_c_triples(proved) or not rank_one:
-        raise InvariantError(f"C stage eigenspaces {outcomes} are not the proved rank-1 C triples")
+    outcomes = [_c_outcome(records) for records in c_map.records]
+    if outcomes != contextuality.valid_c_triples(proved):
+        raise InvariantError(f"C stage eigenspaces {outcomes} are not the proved C triples")
     # A branch contradicts the square when no assignment satisfying it has that C column.
     explained = {assignment.col(2) for assignment in contextuality.enumerate_assignments(proved)}
     c_branches = {}
-    for outcome, space in zip(outcomes, c_basis.spaces):
+    for outcome, vector in zip(outcomes, c_map.vectors):
         verdict = contextuality.retrodict_from_c(outcome, proved)
         audit = epistemic.pm_epistemic_audit(outcome, proved)
-        c_branches[outcome] = CBranch(outcome, space.vector, verdict, audit, outcome not in explained)
+        c_branches[outcome] = CBranch(outcome, StateVector(register, vector), verdict, audit, outcome not in explained)
+    mems = {"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2}
+    # The A stage records A3 as A1*A2, which the colA identity licenses: the
+    # A records carry even parity exactly when its proved target is +1.
+    a_parity_even = proved.col_targets[0] == +1
     return PMFrame(
-        register=register,
-        mems={"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2},
-        readouts=readouts,
-        c_observables=(c1, c2, c3),
-        square=square,
-        double1=double1,
-        double2=double2,
-        stages=(
-            friend_stage(
-                "A", register, (mem_a1, mem_a2), (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}
-            ),
-            friend_stage(
-                "B", register, (mem_b2, mem_b1), (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}
-            ),
-        ),
-        c_basis=c_basis,
-        square_report=square_report,
-        # The A stage records A3 as A1*A2, which the colA identity licenses: the
-        # A records carry even parity exactly when its proved target is +1.
-        a_parity_even=proved.col_targets[0] == +1,
-        c_branches=c_branches,
+        register, mems, readouts, (c1, c2, c3), square, double1, double2,
+        {"A": a_map, "B": b_map}, c_map, square_report, a_parity_even, c_branches,
     )
 
 
@@ -469,8 +480,7 @@ def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scena
     if initial.register.size != 2:
         raise ValueError("the square protocol needs a 2-qubit initial state")
     system = StateVector(PM_SYSTEM, initial.amplitudes)
-    memories = basis_state(QubitRegister(("a1", "a2", "b1", "b2")), "0000")
-    full = tensor_product([system, memories])
+    full = tensor_product([system, basis_state(QubitRegister(("a1", "a2", "b1", "b2")), "0000")])
     return Scenario("peres-mermin", system, full, build_pm_frame(), c_mode)
 
 
@@ -482,23 +492,17 @@ def run_pm_protocol(scenario: Scenario) -> PMReport:
     always carry an even number: the contradiction flag is set per branch by
     exhaustive assignment search and holds on every run.  Everything that
     depends only on the operators comes precompiled with `scenario.frame`, and
-    the expectations are read off the run's one C projection.
+    the expectations are read off the run's C branches.
     """
     if scenario.kind != "peres-mermin":
         raise ValueError(f"expected a peres-mermin scenario, got {scenario.kind!r}")
     frame: PMFrame = scenario.frame
-    state = scenario.initial_state
-    stage_records = {}
-    for stage in frame.stages:
-        state, stage_records[stage.agent] = stage.run(state)
-
-    c_projection = project_branches(state, frame.c_basis)
-    expectations = {
-        "C1": sum(b.records["C1"] * b.probability for b in c_projection),
-        "C2": sum(b.records["C2"] * b.probability for b in c_projection),
-        "C3": sum(b.records["C3"] * b.probability for b in c_projection),
-        "C1*C2*C3": sum(math.prod(b.records.values()) * b.probability for b in c_projection),
-    }
+    system = scenario.system_state.amplitudes
+    stage_records = {agent: _branches(stage, system) for agent, stage in frame.stages.items()}
+    state = StateVector(frame.register, frame.c_map.reach @ system)
+    c_projection = _branches(frame.c_map, system)
+    expectations = {name: sum(b.records[name] * b.probability for b in c_projection) for name in ("C1", "C2", "C3")}
+    expectations["C1*C2*C3"] = sum(math.prod(b.records.values()) * b.probability for b in c_projection)
 
     if scenario.c_mode == "projective":
         distribution = {_c_outcome(b.records): b.probability for b in c_projection}
@@ -564,11 +568,7 @@ def _factorization(state: StateVector, c_branches, flags) -> FactorizationVerdic
 def pm_random_sweep(count: int = 20, seed: int = SWEEP_SEED, c_mode: str = "projective"):
     """Run the square protocol on `count` seeded random initial states."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(count):
-        scenario = build_pm_scenario(random_state(PM_SYSTEM, rng), c_mode=c_mode)
-        reports.append(run_pm_protocol(scenario))
-    return reports
+    return [run_pm_protocol(build_pm_scenario(random_state(PM_SYSTEM, rng), c_mode)) for _ in range(count)]
 
 
 # --------------------------------------------------------------------------

@@ -330,6 +330,28 @@ class TestExitCodes:
         assert run_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--state", "[" * 50000], {}),
+            (["--state", "x" * 50000], {}),
+            (["--state", "[" + "9" * 5000 + ", 0, 0, 0]"], {}),
+            (["--state", "[" + "0, " * 20000 + "1]"], {}),
+            ([], {"state": "y" * 50000}),
+            ([], {"scenario": "z" * 50000}),
+            ([], {"schema": "s" * 50000}),
+            ([], {"k" * 50000: 1}),
+        ],
+        ids=["nested", "word", "long-integer", "long-list", "config-state", "config-scenario", "schema", "key"],
+    )
+    def test_rejected_input_echo_is_bounded(self, tmp_path, capsys, flags, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": "hardy", "out": str(tmp_path / "r.txt"), **config}))
+        assert run_main(["--config", str(path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300, err
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "latin1.json"
         config.write_bytes(b'{"scenario": "hardy", "out": "r\xe9sultat.txt"}')

@@ -1,13 +1,15 @@
-"""The compiled square-protocol frame against a dense per-state reference.
+"""The compiled protocol frames against dense per-state references.
 
-`dense_reference` recomputes a run from scratch for one state: fresh friend
-unitaries, dense joint projectors for every stage, the C1*C2*C3 operator
-product, square verification, retrodiction audits and a 128x128 lifted
-operator for the factorization check.  Beyond the frame's observables it
-shares only `friend_unitary`, the state kernel (`apply_operator`,
-`tensor_product`) and `verify_square_constraints` with the compiled path.
-Its C-branch verdicts come from the hand-written `c_outcome_consistent`
-oracle and the C triple's own parity, not from the constraint table.
+`dense_reference` recomputes a square-protocol run from scratch for one
+state: fresh friend unitaries, dense joint projectors for every stage, the
+C1*C2*C3 operator product, square verification, retrodiction audits and a
+128x128 lifted operator for the factorization check.  Beyond the frame's
+observables it shares only `friend_unitary`, the state kernel
+(`apply_operator`, `tensor_product`) and `verify_square_constraints` with the
+compiled path.  Its C-branch verdicts come from the hand-written
+`c_outcome_consistent` oracle and the C triple's own parity, not from the
+constraint table.  `dense_hardy_reference` does the same for a two-Wigner
+run: records, joint outcomes, implications, chain and contradiction.
 """
 
 import io
@@ -71,7 +73,7 @@ def _key(outcome):
     return "".join("+" if v > 0 else "-" for v in outcome)
 
 
-def _stage_doc(state, readouts, derived):
+def _stage_doc(state, readouts, derived=None):
     register = state.register
     covered = {label for obs in readouts for label in obs.register.labels}
     fills = [
@@ -82,7 +84,8 @@ def _stage_doc(state, readouts, derived):
     records = []
     for recs, amplitude, _ in _dense_branches(state, list(readouts) + fills):
         outcomes = {obs.name: recs[obs.name] for obs in readouts}
-        outcomes[derived[0]] = outcomes[derived[1]] * outcomes[derived[2]]
+        if derived:
+            outcomes[derived[0]] = outcomes[derived[1]] * outcomes[derived[2]]
         records.append(
             {
                 "outcomes": dict(sorted(outcomes.items())),
@@ -184,6 +187,55 @@ def dense_reference(initial: StateVector, c_mode: str) -> tuple[dict, StateVecto
     return doc, state, projectors
 
 
+def dense_hardy_reference(initial: StateVector) -> tuple[dict, StateVector]:
+    """The report_to_dict tree of one two-Wigner run, recomputed densely for this state alone."""
+    frame = scenarios.build_hardy_frame()
+    system = StateVector(scenarios.HARDY_SYSTEM, initial.amplitudes)
+    state = tensor_product([system, basis_state(QubitRegister(("fA", "fB")), "00")])
+    for mem in (frame.mem_a, frame.mem_b):
+        state = apply_operator(state, friend_unitary(mem), mem.targets)
+    distribution, amplitudes = {}, {}
+    for recs, amplitude, _ in _dense_branches(state, (frame.wigner_a, frame.wigner_b)):
+        distribution[(recs["A"], recs["B"])] = abs(amplitude) ** 2
+        amplitudes[(recs["A"], recs["B"])] = _pair(amplitude)
+    implications = []
+    for pair in ((frame.wigner_a, frame.friend_b), (frame.friend_a, frame.friend_b), (frame.friend_a, frame.wigner_b)):
+        branches = [recs for recs, _, _ in _dense_branches(state, pair)]
+        context = [obs.name for obs in pair]
+        for first, second in itertools.permutations(context, 2):
+            for value in (+1, -1):
+                seen = {recs[second] for recs in branches if recs[first] == value}
+                if len(seen) == 1:
+                    implications.append({"if": [first, value], "then": [second, seen.pop()], "context": context})
+    known, conclusions, frontier = {"A"}, [], [["A", -1]]
+    while frontier:
+        current = frontier.pop(0)
+        for imp in implications:
+            if imp["if"] == current and imp["then"][0] not in known:
+                known.add(imp["then"][0])
+                conclusions.append(imp["then"])
+                frontier.append(imp["then"])
+    contradiction = ["B", +1] in conclusions and distribution.get((-1, -1), 0.0) > qsim.PROBABILITY_TOL
+    doc = {
+        "schema": "wignerlab-report/1",
+        "kind": "hardy",
+        "register": list(scenarios.HARDY_REGISTER.labels),
+        "initial_state": [_pair(z) for z in system.amplitudes],
+        "stages": {"friends": _stage_doc(state, (frame.friend_a, frame.friend_b))},
+        "joint": {
+            "labels": ["A", "B"],
+            "distribution": {_key(k): v for k, v in sorted(distribution.items())},
+            "amplitudes": {_key(k): v for k, v in sorted(amplitudes.items())},
+        },
+        "contradiction": contradiction,
+    }
+    if implications:
+        doc["implications"] = implications
+    doc["chain"] = {"seed": ["A", -1], "conclusions": conclusions}
+    doc["signalling"] = {"observed": ["FA", "FB", "A", "B"], "contradiction": contradiction}
+    return doc, state
+
+
 def assert_tree_close(got, want, path="report"):
     """Numbers within TOL, everything else (keys, order, flags, labels) equal."""
     if isinstance(want, dict):
@@ -237,6 +289,24 @@ def test_plan_matches_dense_reference_on_sweep_seed(c_mode):
     reports = scenarios.pm_random_sweep(count=20, seed=SWEEP_SEED, c_mode=c_mode)
     for initial, report in zip(states, reports):
         check_against_reference(initial, c_mode, report)
+
+
+def check_hardy_against_reference(initial):
+    report = scenarios.run_fr_protocol(scenarios.build_hardy_scenario(initial))
+    want, state = dense_hardy_reference(initial)
+    assert_tree_close(scenarios.report_to_dict(report), want)
+    assert np.max(np.abs(report.final_state.amplitudes - state.amplitudes)) <= TOL
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(initial=system_states)
+def test_hardy_matches_dense_reference_on_generated_states(initial):
+    check_hardy_against_reference(initial)
+
+
+@pytest.mark.parametrize("initial", [scenarios.hardy_state(), scenarios.bell_state("psi-")], ids=["default", "psi-"])
+def test_hardy_matches_dense_reference(initial):
+    check_hardy_against_reference(initial)
 
 
 def count_calls(monkeypatch, calls: dict, function) -> None:
@@ -297,9 +367,11 @@ def test_frame_compiles_each_epistemic_audit_once(monkeypatch, fresh_frames, tmp
 @pytest.mark.parametrize("c_mode", MODES)
 def test_c_branches_share_the_plan_vectors(c_mode):
     frame = scenarios.build_pm_frame()
-    frame_vectors = {id(space.vector) for space in frame.c_basis.spaces}
+    # Each C map row is its audited branch's vector read through the frame's U E.
+    assert [scenarios._c_outcome(records) for records in frame.c_map.records] == list(frame.c_branches)
+    for row, branch in zip(frame.c_map.rows, frame.c_branches.values()):
+        assert np.max(np.abs(row - branch.vector.amplitudes.conj() @ frame.c_map.reach)) <= TOL
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
-        assert {id(branch.vector) for branch in report.c_branches} <= frame_vectors
         assert all(branch is frame.c_branches[branch.outcome] for branch in report.c_branches)
 
 
@@ -345,13 +417,13 @@ def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, tm
 
 def test_hardy_frame_compiles_its_implication_contexts():
     frame = scenarios.build_hardy_frame()
-    names = [tuple(basis.spaces[0].records) for basis in frame.contexts]
+    names = [tuple(context.records[0]) for context in frame.contexts]
     assert names == [("A", "FB"), ("FA", "B")]
     # (FA, FB) is read off the friend stage's records, in the middle of the implications.
     report = scenarios.run_fr_protocol(scenarios.build_hardy_scenario())
     contexts = list(dict.fromkeys(imp.context for imp in report.implications))
     assert contexts == [("A", "FB"), ("FA", "FB"), ("FA", "B")]
-    friend_branches = qsim.project_branches(report.final_state, frame.friends.basis)
+    friend_branches = qsim.branch_decompose(report.final_state, (frame.friend_a, frame.friend_b))
     read_off = [imp for imp in report.implications if imp.context == ("FA", "FB")]
     assert read_off == scenarios.extract_implications(friend_branches)
 
@@ -372,11 +444,92 @@ def test_hardy_runs_build_no_eigenbasis(monkeypatch):
     assert calls == []
 
 
-def test_warm_hardy_runs_project_each_basis_once(monkeypatch):
-    assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction  # compiles
+def test_warm_runs_make_no_kernel_calls(monkeypatch):
+    scenarios.build_pm_frame()
+    scenarios.build_hardy_frame()
     calls = {}
-    count_calls(monkeypatch, calls, qsim.project_branches)
+    for function in (qsim.apply_operator, qsim.project_branches, qsim.joint_eigenbasis):
+        count_calls(monkeypatch, calls, function)
+    for c_mode in MODES:
+        assert all(report.contradiction for report in scenarios.pm_random_sweep(20, SWEEP_SEED, c_mode))
     for _ in range(2):
         assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
-    # Per run: the friend records, the Wigner pair and the two mixed contexts.
-    assert calls == {"project_branches": 8}
+    assert calls == {"apply_operator": 0, "project_branches": 0, "joint_eigenbasis": 0}
+
+
+def _swap_a_friend_unitary(monkeypatch):
+    """Record X instead of Z in the first memory of each protocol: another unitary on the same qubits."""
+    original = friend_unitary
+
+    def swapped(mem):
+        if mem.memory in ("a1", "fA"):
+            label = mem.recorded.register.labels[0]
+            return original(friendify.MemoryAssignment(mem.memory, qsim.pauli_observable("X", label)))
+        return original(mem)
+
+    monkeypatch.setattr(scenarios, "friend_unitary", swapped)
+
+
+def _perturb_a_c_vector(monkeypatch):
+    original = scenarios.joint_eigenbasis
+
+    def perturbed(register, observables):
+        basis = original(register, observables)
+        if [obs.name for obs in observables] != ["C1", "C2", "C3"]:
+            return basis
+        first, second = (space.vector.amplitudes for space in basis.spaces[:2])
+        vector = qsim.normalized_state(register, first + 1e-6 * second)
+        spaces = (replace(basis.spaces[0], vector=vector),) + basis.spaces[1:]
+        return replace(basis, spaces=spaces)
+
+    monkeypatch.setattr(scenarios, "joint_eigenbasis", perturbed)
+
+
+def _nan_map_row(monkeypatch):
+    original = scenarios._branch_map
+
+    def with_nan(*args):
+        stage = original(*args)
+        rows = np.array(stage.rows)
+        rows[0] = np.nan
+        return replace(stage, rows=rows)
+
+    monkeypatch.setattr(scenarios, "_branch_map", with_nan)
+
+
+@pytest.mark.parametrize(
+    "corrupt, scenario",
+    [
+        (_swap_a_friend_unitary, "peres-mermin"),
+        (_swap_a_friend_unitary, "hardy"),
+        (_perturb_a_c_vector, "peres-mermin"),
+        (_nan_map_row, "peres-mermin"),
+        (_nan_map_row, "hardy"),
+    ],
+    ids=["friend-unitary-pm", "friend-unitary-hardy", "c-vector", "nan-row-pm", "nan-row-hardy"],
+)
+def test_a_corrupted_frame_fails_its_compile(monkeypatch, fresh_frames, tmp_path, capsys, corrupt, scenario):
+    corrupt(monkeypatch)
+    build = scenarios.build_pm_frame if scenario == "peres-mermin" else scenarios.build_hardy_frame
+    with pytest.raises(qsim.InvariantError):
+        build()
+    out = tmp_path / "report.txt"
+    assert cli.run_command(cli.RunConfig(scenario, out=str(out)), out=io.StringIO()) == 3
+    assert "internal invariant breach" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_degenerate_space_must_be_rank_one_on_the_reachable_set():
+    register = QubitRegister(("a", "b", "c"))
+    za, zb = qsim.pauli_observable("Z", "a"), qsim.pauli_observable("Z", "b")
+    # Input j reaches |j>|0> on (a, b | c): each (Za, Zb) space, of rank 2, holds one reachable line.
+    reach = np.eye(8, dtype=complex)[:, 0::2]
+    stage = scenarios._branch_map(qsim.joint_eigenbasis(register, [za, zb]), reach, {"ab": ("Z[a]", "Z[b]")})
+    assert np.max(np.abs(stage.rows - np.eye(4))) <= TOL
+    assert [records["ab"] for records in stage.records] == [+1, -1, -1, +1]
+    # Every input reaches a = 0, so the Za = +1 space holds all four of them.
+    with pytest.raises(qsim.InvariantError, match="not rank 1"):
+        scenarios._branch_map(qsim.joint_eigenbasis(register, [za]), np.eye(8, 4, dtype=complex), {})
+    reach[0, 0] = np.nan
+    with pytest.raises(qsim.InvariantError), np.errstate(invalid="ignore"):
+        scenarios._branch_map(qsim.joint_eigenbasis(register, [za, zb]), reach, {})

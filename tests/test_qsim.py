@@ -14,7 +14,6 @@ from wignerlab.qsim import (
     expectation,
     identity_observable,
     joint_eigenbasis,
-    measure_projective,
     normalized_state,
     pauli_observable,
     product_observable,
@@ -217,38 +216,6 @@ class TestExpectation:
         assert err.value.leaked_weight == pytest.approx(1.0, abs=1e-10)
 
 
-class TestMeasureProjective:
-    def test_eigenstate_outcomes(self):
-        state = basis_state(QubitRegister(("a",)), "0")
-        outcomes = measure_projective(state, pauli_observable("Z", "a"))
-        assert outcomes[0].eigenvalue == +1
-        assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert outcomes[1].probability == 0.0
-        assert outcomes[1].post_state is None
-
-    def test_probability_completeness_random(self):
-        rng = np.random.default_rng(SEED)
-        reg = QubitRegister(("a", "b"))
-        obs = tensor_product([pauli_observable("Z", "a"), pauli_observable("X", "b")])
-        for _ in range(50):
-            state = random_state(reg, rng)
-            outcomes = measure_projective(state, obs)
-            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-10)
-            for o in outcomes:
-                if o.post_state is not None:
-                    assert abs(np.linalg.norm(o.post_state.amplitudes) - 1.0) < 1e-12
-
-
-    def test_out_of_support_signal(self):
-        reg = QubitRegister(("m", "s"))
-        plus = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
-        obs = qsim.observable_from_eigenvectors(reg, plus, minus, "lifted")
-        with pytest.raises(qsim.OutOfSupportError) as err:
-            measure_projective(normalized_state(reg, [1, 1, 0, 0]), obs)
-        assert err.value.leaked_weight == pytest.approx(0.5, abs=1e-10)
-
-
 class TestDenseOracle:
     """The kernel against dense linear algebra on seeded random 2-3 qubit cases, within 1e-12."""
 
@@ -264,16 +231,16 @@ class TestDenseOracle:
             obs, matrix, _ = random_family(QubitRegister(reg.labels[:k]), rng, 1, True)[0]
             rest = np.eye(2 ** (size - k))
             assert abs(expectation(state, obs) - np.vdot(psi, np.kron(matrix, rest) @ psi).real) < 1e-12
-            outcomes = measure_projective(state, obs)
-            assert [o.eigenvalue for o in outcomes] == list(obs.eigenvalues)
-            for outcome in outcomes:
-                component = np.kron(obs.projector(outcome.eigenvalue), rest) @ psi
+            branches = {branch.records[obs.name]: branch for branch in branch_decompose(state, [obs])}
+            assert sorted(branches) == sorted(obs.eigenvalues)
+            for eigenvalue, branch in branches.items():
+                component = np.kron(obs.projector(eigenvalue), rest) @ psi
                 weight = np.vdot(component, component).real
-                assert abs(outcome.probability - weight) < 1e-12
+                assert abs(branch.probability - weight) < 1e-12
                 expected = component / np.sqrt(weight)
-                overlap = np.vdot(outcome.post_state.amplitudes, expected)
+                overlap = np.vdot(branch.vector.amplitudes, expected)
                 phase = overlap / abs(overlap)
-                assert np.max(np.abs(outcome.post_state.amplitudes * phase - expected)) < 1e-12
+                assert np.max(np.abs(branch.vector.amplitudes * phase - expected)) < 1e-12
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_product_observable(self, size):

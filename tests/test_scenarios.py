@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from wignerlab import qsim, scenarios
-from wignerlab.friendify import friend_unitary
+from wignerlab.friendify import friend_unitary, record_observable
 from wignerlab.qsim import (
     QubitRegister,
     apply_operator,
     basis_state,
     branch_decompose,
-    measure_projective,
     normalized_state,
     random_state,
     tensor_product,
@@ -61,6 +60,13 @@ def friend_order(scenario):
         return [(frame.mem_a, frame.mem_b)]
     mems = frame.mems
     return [(mems["a1"], mems["a2"]), (mems["b2"], mems["b1"])]
+
+
+def measure(psi, obs, eigenvalue):
+    """Born probability of `eigenvalue` and the normalized post-measurement vector (dense oracle)."""
+    component = obs.projector(eigenvalue) @ psi
+    probability = float(np.vdot(component, component).real)
+    return probability, component / np.sqrt(probability)
 
 
 def run_stages(scenario, count):
@@ -112,19 +118,13 @@ class TestHardyScenario:
         scenario = build_hardy_scenario()
         frame = scenario.frame
         post = run_stages(scenario, 1)
-        outcomes = measure_projective(post, frame.wigner_a)
-        minus = next(o for o in outcomes if o.eigenvalue == -1)
-        assert minus.probability == pytest.approx(2 / 12, abs=1e-12)
-        second = measure_projective(minus.post_state, frame.wigner_b)
-        minus_minus = next(o for o in second if o.eigenvalue == -1)
-        assert minus.probability * minus_minus.probability == pytest.approx(
-            1 / 12, abs=1e-12
-        )
-        plus = next(o for o in outcomes if o.eigenvalue == +1)
-        plus_plus = next(
-            o for o in measure_projective(plus.post_state, frame.wigner_b) if o.eigenvalue == +1
-        )
-        assert plus.probability * plus_plus.probability == pytest.approx(9 / 12, abs=1e-12)
+        p_minus, post_minus = measure(post.amplitudes, frame.wigner_a, -1)
+        assert p_minus == pytest.approx(2 / 12, abs=1e-12)
+        p_minus_minus, _ = measure(post_minus, frame.wigner_b, -1)
+        assert p_minus * p_minus_minus == pytest.approx(1 / 12, abs=1e-12)
+        p_plus, post_plus = measure(post.amplitudes, frame.wigner_a, +1)
+        p_plus_plus, _ = measure(post_plus, frame.wigner_b, +1)
+        assert p_plus * p_plus_plus == pytest.approx(9 / 12, abs=1e-12)
 
 
 class TestRunFRProtocol:
@@ -235,7 +235,7 @@ class TestPMScenario:
                 basis_state(QubitRegister(("b1", "b2")), "00"),
             ]
         ).reordered(scenario.frame.register)
-        assert qsim.states_equal(post_a, expected)
+        assert post_a.fidelity(expected) == pytest.approx(1.0, abs=1e-10)
 
     def test_bbase_branch_amplitudes(self):
         # the tagged product state against the level-2 basis: (1/2, -1/2, 1/2, -1/2)
@@ -290,17 +290,17 @@ class TestPMScenario:
         rng = np.random.default_rng(SEED)
         xbar1 = frame.mems["b1"].recorded.embedded(scenarios.PM_REGISTER)
         zbar2 = frame.mems["b2"].recorded.embedded(scenarios.PM_REGISTER)
+        mem = frame.mems["b1"]  # B2: chain-1 record
+        assert list(frame.stages["B"].records[0])[:2] == ["B1", "B2"]
+        readout = record_observable(mem, "B2").embedded(scenarios.PM_REGISTER)
+        assert np.array_equal(readout.matrix(), frame.readouts["B2"].matrix())
         for _ in range(10):
             scenario = build_pm_scenario(random_state(PM_SYSTEM, rng))
             post_a = run_stages(scenario, 1)
-            mem = frame.mems["b1"]  # B2: chain-1 record
-            stage_b = frame.stages[1]
-            assert (stage_b.agent, list(stage_b.basis.spaces[0].records)[1]) == ("B", "B2")
-            assert stage_b.unitaries[1][0] == mem.targets
             evolved = apply_operator(post_a, friend_unitary(mem), mem.targets)
             for obs in (xbar1, zbar2):
-                before = [o.probability for o in measure_projective(post_a, obs)]
-                after = [o.probability for o in measure_projective(evolved, obs)]
+                before = [measure(post_a.amplitudes, obs, eig)[0] for eig in obs.eigenvalues]
+                after = [measure(evolved.amplitudes, obs, eig)[0] for eig in obs.eigenvalues]
                 assert np.allclose(before, after, atol=1e-10)
 
     def test_bad_mode_rejected(self):
