@@ -20,15 +20,12 @@ from .friendify import (
     double_lift_basis,
     friend_unitary,
     lift_observable,
-    logical_pauli,
     record_observable,
 )
 from .contextuality import (
     PMAssignment,
     PMSquare,
-    audit_records,
     enumerate_assignments,
-    predict_from_a,
     retrodict_from_c,
     verify_square_constraints,
 )

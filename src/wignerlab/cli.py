@@ -81,22 +81,41 @@ class RunConfig:
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
+def _int_flag(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
+def _choice_flag(choices: tuple[str, ...]):
+    """An argparse type for `choices` that echoes a rejected value through `_echo`."""
+
+    def check(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {_echo(text)} (choose from {listed})")
+        return text
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerlab",
         description="Run nested-observer protocols and consistency audits.",
     )
     parser.add_argument("--config", help="JSON config file (schema wignerlab-config/1)")
-    parser.add_argument("--scenario", choices=SCENARIOS)
+    parser.add_argument("--scenario", choices=SCENARIOS, type=_choice_flag(SCENARIOS))
     parser.add_argument(
         "--state",
         help="initial 2-qubit state: Bell name (phi+/phi-/psi+/psi-), "
         "basis bits (e.g. 01), or a JSON list of 4 amplitudes",
     )
-    parser.add_argument("--mode", choices=MODES, help="final-stage mode for the square protocol")
-    parser.add_argument("--seed", type=int, help="random seed for pm-sweep")
-    parser.add_argument("--runs", type=int, help="number of random states in pm-sweep")
-    parser.add_argument("--format", choices=FORMATS, dest="format")
+    parser.add_argument("--mode", choices=MODES, type=_choice_flag(MODES), help="final-stage mode for the square protocol")
+    parser.add_argument("--seed", type=_int_flag, help="random seed for pm-sweep")
+    parser.add_argument("--runs", type=_int_flag, help="number of random states in pm-sweep")
+    parser.add_argument("--format", choices=FORMATS, type=_choice_flag(FORMATS))
     parser.add_argument("--out", help="report file path (default: scenario name in "
                         f"${OUTPUT_DIR_ENV} or the working directory)")
     return parser

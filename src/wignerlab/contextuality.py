@@ -213,47 +213,6 @@ def retrodict_from_c(c, square: PMSquare | None = None) -> RetrodictionVerdict:
     return RetrodictionVerdict(c, required, len(survivors), parity_pairs)
 
 
-@dataclass(frozen=True)
-class PredictionVerdict:
-    a: tuple[int, int, int]
-    required_c_parity: int
-    consistent_pairs: int
-
-
-def predict_from_a(a) -> PredictionVerdict:
-    """Infer C's parity from A's outcome triple over the standard square without C's target."""
-    square = standard_square()
-    a = tuple(int(v) for v in a)
-    survivors = [s for s in _assignments(_freed(square, 2)) if s.col(0) == a]
-    if not survivors:
-        target = square.col_targets[0]
-        raise ValueError(f"A triple {a} violates the column constraint a1*a2*a3 = {target:+d}")
-    c_parities = {math.prod(s.col(2)) for s in survivors}
-    required = c_parities.pop() if len(c_parities) == 1 else 0
-    return PredictionVerdict(a, required, len(survivors))
-
-
-@dataclass(frozen=True)
-class RecordAudit:
-    violated: tuple[str, ...]
-
-
-def audit_records(a, b, c) -> RecordAudit:
-    """Check three record triples against the standard square's lines, naming each broken one."""
-    square = standard_square()
-    values = tuple(zip(*((int(v) for v in t) for t in (a, b, c))))
-    violated = []
-    for name, target, cells in square.lines:
-        if math.prod(values[i][j] for i, j in cells) == target:
-            continue
-        x, y, z = (square.labels[i][j].lower() for i, j in cells)
-        if name.startswith("row"):  # read as C's record being A's times B's
-            violated.append(f"{name}: {x}*{y} != {'-' if target < 0 else ''}{z}")
-        else:
-            violated.append(f"{name}: {x}*{y}*{z} != {target:+d}")
-    return RecordAudit(tuple(violated))
-
-
 def c_outcome_consistent(c) -> bool:
     """Is there any (a, b) with even parities explaining the C triple? (Never, for valid c.)
 

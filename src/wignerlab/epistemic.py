@@ -236,22 +236,6 @@ def discharge(ledger: KnowledgeLedger, conditional: LedgerEntry, anchor: Fact) -
     raise DischargeRefusal("not conditional", f"cannot discharge {conditional}")
 
 
-def predictions_supported(ledger: KnowledgeLedger) -> set[tuple[str, int]]:
-    """All (label, value) pairs retrievable or dischargeable from the ledger."""
-    supported = set()
-    anchors = [e for e in ledger.entries if isinstance(e, Fact) and not e.conditional]
-    for anchor in anchors:
-        supported.add((anchor.label, anchor.value))
-    for entry in ledger.entries:
-        for anchor in anchors:
-            try:
-                pred = discharge(ledger, entry, anchor)
-            except DischargeRefusal:
-                continue
-            supported.add((pred.label, pred.value))
-    return supported
-
-
 # --------------------------------------------------------------------------
 # Chain auditing.
 

@@ -134,23 +134,6 @@ def lift_observable(mem: MemoryAssignment, name: str = "") -> tuple[SpectralObse
     return _logical_pair(mem.register, basis_plus, basis_minus, name)
 
 
-def logical_pauli(sub: LogicalSubspace, which: str, name: str = "") -> SpectralObservable:
-    """Standard X/Y/Z on the ordered subspace basis; support equals the subspace."""
-    plus = sub.basis_plus.amplitudes
-    minus = sub.basis_minus.amplitudes
-    if which == "Z":
-        vec_plus, vec_minus = plus, minus
-    elif which == "X":
-        vec_plus = (plus + minus) / _SQ2
-        vec_minus = (plus - minus) / _SQ2
-    elif which == "Y":
-        vec_plus = (plus + 1j * minus) / _SQ2
-        vec_minus = (plus - 1j * minus) / _SQ2
-    else:
-        raise ValueError(f"which must be X, Y or Z, got {which!r}")
-    return observable_from_eigenvectors(sub.register, vec_plus, vec_minus, name)
-
-
 @dataclass(frozen=True)
 class DoubleLift:
     """Logical Pauli triple obtained by lifting a lifted observable once more.

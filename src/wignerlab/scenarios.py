@@ -38,8 +38,8 @@ from .qsim import (
     SpectralObservable,
     StateVector,
     _extract_unit_vector,
+    _readonly,
     apply_operator,
-    basis_state,
     joint_eigenbasis,
     normalized_state,
     pauli_observable,
@@ -54,6 +54,11 @@ SWEEP_SEED = 20260810
 SCHMIDT_TOL = 1e-8
 
 REPORT_SCHEMA = "wignerlab-report/1"
+
+C_MODES = ("projective", "expectation-only")
+
+HARDY_SYSTEM = QubitRegister(("sA", "sB"))
+HARDY_REGISTER = QubitRegister(("sA", "sB", "fA", "fB"))
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,10 @@ class BranchRecord:
 class BranchMap:
     """A stage compiled with its frame: branch k has `records[k]` and amplitude `rows[k] @ s`.
 
-    s holds the four system amplitudes, `reach` is U E (E adds every memory in |0>, U
-    applies the friend unitaries so far) and row k is w_k^H U E, with w_k = `vectors[k]`
-    the phase-fixed vector of joint eigenspace k on that reachable set.  The rows must
-    form an isometry, so every state's branches carry all of its weight.
+    s holds the four system amplitudes, `reach` is U E (E adds every memory in |0>, U applies the
+    friend unitaries so far) and row k is w_k^H U E, with w_k = `vectors[k]` the phase-fixed vector
+    of joint eigenspace k on that reachable set.  The rows must form an isometry, so every state's
+    branches carry all of its weight.  Every run shares the three arrays, so they are read-only copies.
     """
 
     records: tuple[dict[str, int], ...]
@@ -88,7 +93,8 @@ class BranchMap:
     reach: np.ndarray
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
+        for name in ("vectors", "rows", "reach"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         deviation = float(np.max(np.abs(self.rows.conj().T @ self.rows - np.eye(4))))
         if not deviation <= STRUCT_TOL:
             raise InvariantError(f"stage map is not an isometry on the system state (deviation {deviation!r})")
@@ -130,18 +136,27 @@ def _compile_stages(register: QubitRegister, stages) -> Iterator[BranchMap]:
         yield _branch_map(joint_eigenbasis(register, readouts), reach, *derived)
 
 
-def _branches(stage: BranchMap, system: np.ndarray) -> tuple[BranchRecord, ...]:
-    """The branches of one run through a compiled stage: the executor of both protocols."""
-    pairs = zip(stage.records, (stage.rows @ system).tolist())
-    branches = tuple(BranchRecord(dict(r), a, abs(a) ** 2) for r, a in pairs if abs(a) >= BRANCH_AMP_TOL)
-    total = sum(branch.probability for branch in branches)
-    if not abs(total - 1.0) <= SUPPORT_LEAK_TOL:
-        raise InvariantError(f"branches carry total weight {total!r}, not 1")
-    return branches
+def _execute(stage: BranchMap, system: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each run's kept branches, weights and kept mask (K x N) for a 4 x N batch: both protocols' executor.
+
+    Amplitudes sum the system components in a fixed order, so no run depends on the batch width.
+    """
+    rows = stage.rows
+    amplitudes = rows[:, :1] * system[0] + rows[:, 1:2] * system[1] + rows[:, 2:3] * system[2] + rows[:, 3:] * system[3]
+    moduli = np.abs(amplitudes)
+    kept, weights = moduli >= BRANCH_AMP_TOL, moduli**2
+    total = sum(np.where(kept, weights, 0.0))
+    failing = np.flatnonzero(~(np.abs(total - 1.0) <= SUPPORT_LEAK_TOL))
+    if failing.size:
+        raise InvariantError(f"run {failing[0]}: branches carry total weight {float(total[failing[0]])!r}, not 1")
+    columns = zip(*(array.T.tolist() for array in (amplitudes, weights, kept)))
+    runs = [tuple(BranchRecord(dict(r), a, p) for r, a, p, k in zip(stage.records, *run) if k) for run in columns]
+    return runs, weights, kept
 
 
 @dataclass(frozen=True)
 class HardyFrame:
+    register = HARDY_REGISTER
     mem_a: MemoryAssignment
     mem_b: MemoryAssignment
     wigner_a: SpectralObservable
@@ -158,10 +173,9 @@ class HardyFrame:
 class PMFrame:
     """The square protocol's operators and everything a run reads that depends only on them.
 
-    Besides the observables, the frame holds the branch maps of the A and B
-    friend stages (keyed by agent) and of the C stage (shared by both C modes),
-    the square-constraint report, whose proved square gives the A parity and
-    every C verdict, and each valid C triple's audited branch, keyed by outcome.
+    Besides the observables, the frame holds the branch maps of the A and B friend stages (keyed
+    by agent) and of the C stage (shared by both C modes), the square-constraint report, whose
+    proved square gives the A parity and every C verdict, and each C triple's audited branch.
     """
 
     register: QubitRegister
@@ -180,19 +194,25 @@ class PMFrame:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run's input: the system state, its compiled frame and, for the square protocol, the C mode."""
+
     kind: str
     system_state: StateVector
-    initial_state: StateVector
     frame: HardyFrame | PMFrame
     c_mode: str | None = None
+
+    @property
+    def initial_state(self) -> StateVector:
+        """The system state on the frame's register with every memory in |0>, built when read."""
+        memories = np.eye(1, self.frame.register.dim // 4)[0]
+        return StateVector(self.frame.register, np.kron(self.system_state.amplitudes, memories))
 
 
 @dataclass(frozen=True)
 class CBranch:
-    """An audited C outcome; `vector` spans its eigenspace on the reachable states and is shared by every run."""
+    """An audited C outcome, shared by every run."""
 
     outcome: tuple[int, int, int]
-    vector: StateVector
     retrodiction: contextuality.RetrodictionVerdict
     audit: epistemic.PMEpistemicReport
     contradiction: bool
@@ -219,6 +239,7 @@ class HardyReport:
     kind = "hardy"
     joint_labels = ("A", "B")
 
+    frame: HardyFrame
     initial_amplitudes: tuple[complex, ...]
     stage_records: dict[str, tuple[BranchRecord, ...]]
     joint_distribution: dict[tuple[int, int], float]
@@ -226,7 +247,11 @@ class HardyReport:
     implications: tuple[Implication, ...]
     chain: ChainResult
     contradiction: bool
-    final_state: StateVector
+
+    @property
+    def final_state(self) -> StateVector:
+        """The register state after the friend stage, built when read."""
+        return StateVector(self.frame.register, self.frame.friends.reach @ np.array(self.initial_amplitudes))
 
 
 @dataclass(frozen=True)
@@ -236,6 +261,7 @@ class PMReport:
     kind = "peres-mermin"
     joint_labels = ("C1", "C2", "C3")
 
+    frame: PMFrame
     initial_amplitudes: tuple[complex, ...]
     stage_records: dict[str, tuple[BranchRecord, ...]]
     joint_distribution: dict[tuple[int, int, int], float]
@@ -244,17 +270,19 @@ class PMReport:
     expectations: dict[str, float]
     square_constraints: dict[str, float]
     c_branches: tuple[CBranch, ...]
+    c_weights: tuple[float, ...]  # on each of the frame's C outcomes, dropped branches included
     a_parity_even: bool
     contradiction: bool
     factorization: FactorizationVerdict
-    final_state: StateVector
+
+    @property
+    def final_state(self) -> StateVector:
+        """The register state after every friend stage, built when read."""
+        return StateVector(self.frame.register, self.frame.c_map.reach @ np.array(self.initial_amplitudes))
 
 
 # --------------------------------------------------------------------------
 # Hardy / two-Wigner scenario.
-
-HARDY_SYSTEM = QubitRegister(("sA", "sB"))
-HARDY_REGISTER = QubitRegister(("sA", "sB", "fA", "fB"))
 
 
 def hardy_state() -> StateVector:
@@ -292,8 +320,7 @@ def build_hardy_scenario(system_state: StateVector | None = None) -> Scenario:
     system = system_state if system_state is not None else hardy_state()
     if system.register.size != 2:
         raise ValueError("Hardy scenario needs a 2-qubit system state")
-    system = StateVector(HARDY_SYSTEM, system.amplitudes)
-    return Scenario("hardy", system, tensor_product([system, basis_state(QubitRegister(("fA", "fB")), "00")]), frame)
+    return Scenario("hardy", StateVector(HARDY_SYSTEM, system.amplitudes), frame)
 
 
 def extract_implications(branches) -> list[Implication]:
@@ -310,9 +337,7 @@ def extract_implications(branches) -> list[Implication]:
         for v in (+1, -1):
             consequents = {b.records[name_j] for b in branches if b.records[name_i] == v}
             if len(consequents) == 1:
-                implications.append(
-                    Implication((name_i, v), (name_j, consequents.pop()), context)
-                )
+                implications.append(Implication((name_i, v), (name_j, consequents.pop()), context))
     return implications
 
 
@@ -324,58 +349,47 @@ def chain_inferences(implications, seed: tuple[str, int]) -> ChainResult:
     the same chains under an information budget.
     """
     implications = list(implications)
-    known: dict[str, int] = {seed[0]: seed[1]}
-    conclusions: list[tuple[str, int]] = []
-    steps: list[Implication] = []
-    frontier = [tuple(seed)]
+    known, steps, frontier = {seed[0]}, [], [tuple(seed)]
     while frontier:
         current = frontier.pop(0)
         for imp in implications:
-            if tuple(imp.antecedent) != current:
-                continue
-            label, value = imp.consequent
-            if label in known:
-                continue
-            known[label] = value
-            conclusions.append((label, value))
-            steps.append(imp)
-            frontier.append((label, value))
-    return ChainResult(tuple(seed), tuple(conclusions), tuple(steps))
+            if tuple(imp.antecedent) == current and imp.consequent[0] not in known:
+                known.add(imp.consequent[0])
+                steps.append(imp)
+                frontier.append(tuple(imp.consequent))
+    return ChainResult(tuple(seed), tuple(tuple(imp.consequent) for imp in steps), tuple(steps))
 
 
 def run_fr_protocol(scenario: Scenario) -> HardyReport:
-    """Run the two-Wigner protocol and assemble the narrative report.
+    """Run the two-Wigner protocol, as a batch of one, and assemble the narrative report.
 
-    The report carries the joint lifted-X distribution, the implications the
-    state supports in each mixed basis, the inference chain seeded by the
-    Wigner A = -1 outcome, and the contradiction flag (chain forces B = +1
-    while the joint (-1, -1) probability is nonzero).
+    The report carries the joint lifted-X distribution, the implications the state supports in each
+    mixed basis, the inference chain seeded by the Wigner A = -1 outcome, and the contradiction flag
+    (chain forces B = +1 while the joint (-1, -1) probability is nonzero).
     """
     if scenario.kind != "hardy":
         raise ValueError(f"expected a hardy scenario, got {scenario.kind!r}")
-    frame: HardyFrame = scenario.frame
-    system = scenario.system_state.amplitudes
-    friend_records, wigner, a_fb, fa_b = (_branches(m, system) for m in (frame.friends, frame.wigner, *frame.contexts))
+    frame, system = scenario.frame, scenario.system_state.amplitudes[:, None]
+    maps = (frame.friends, frame.wigner, *frame.contexts)
+    (friend_records,), (wigner,), (a_fb,), (fa_b,) = (_execute(stage, system)[0] for stage in maps)
     distribution = {(b.records["A"], b.records["B"]): b.probability for b in wigner}
     amplitudes = {(b.records["A"], b.records["B"]): b.amplitude for b in wigner}
 
-    implications = []
-    for branches in (a_fb, friend_records, fa_b):
-        implications += extract_implications(branches)
+    implications = [imp for branches in (a_fb, friend_records, fa_b) for imp in extract_implications(branches)]
 
     chain = chain_inferences(implications, ("A", -1))
     p_both_minus = distribution.get((-1, -1), 0.0)
     contradiction = (("B", +1) in chain.conclusions) and p_both_minus > PROBABILITY_TOL
 
     return HardyReport(
-        initial_amplitudes=tuple(scenario.system_state.amplitudes),
+        frame=frame,
+        initial_amplitudes=tuple(scenario.system_state.amplitudes.tolist()),
         stage_records={"friends": friend_records},
         joint_distribution=distribution,
         joint_amplitudes=amplitudes,
         implications=tuple(implications),
         chain=chain,
         contradiction=contradiction,
-        final_state=StateVector(HARDY_REGISTER, frame.friends.reach @ system),
     )
 
 
@@ -459,10 +473,10 @@ def build_pm_frame() -> PMFrame:
     # A branch contradicts the square when no assignment satisfying it has that C column.
     explained = {assignment.col(2) for assignment in contextuality.enumerate_assignments(proved)}
     c_branches = {}
-    for outcome, vector in zip(outcomes, c_map.vectors):
+    for outcome in outcomes:
         verdict = contextuality.retrodict_from_c(outcome, proved)
         audit = epistemic.pm_epistemic_audit(outcome, proved)
-        c_branches[outcome] = CBranch(outcome, StateVector(register, vector), verdict, audit, outcome not in explained)
+        c_branches[outcome] = CBranch(outcome, verdict, audit, outcome not in explained)
     mems = {"a1": mem_a1, "a2": mem_a2, "b1": mem_b1, "b2": mem_b2}
     # The A stage records A3 as A1*A2, which the colA identity licenses: the
     # A records carry even parity exactly when its proved target is +1.
@@ -475,60 +489,67 @@ def build_pm_frame() -> PMFrame:
 
 def build_pm_scenario(initial: StateVector, c_mode: str = "projective") -> Scenario:
     """Three-agent square protocol on an arbitrary 2-qubit system state."""
-    if c_mode not in ("projective", "expectation-only"):
-        raise ValueError(f"c_mode must be 'projective' or 'expectation-only', got {c_mode!r}")
+    if c_mode not in C_MODES:
+        raise ValueError(f"c_mode must be one of {C_MODES}, got {c_mode!r}")
     if initial.register.size != 2:
         raise ValueError("the square protocol needs a 2-qubit initial state")
-    system = StateVector(PM_SYSTEM, initial.amplitudes)
-    full = tensor_product([system, basis_state(QubitRegister(("a1", "a2", "b1", "b2")), "0000")])
-    return Scenario("peres-mermin", system, full, build_pm_frame(), c_mode)
+    return Scenario("peres-mermin", StateVector(PM_SYSTEM, initial.amplitudes), build_pm_frame(), c_mode)
 
 
 def run_pm_protocol(scenario: Scenario) -> PMReport:
-    """Execute the three stages and audit every branch of the resulting narrative.
+    """Execute the three stages and audit every branch of the resulting narrative, as a batch of one.
 
-    The level-3 agent's outcomes always satisfy c1*c2*c3 = -1 and retrodict an
-    odd number of -1 outcomes for the innermost agent, whose own records
-    always carry an even number: the contradiction flag is set per branch by
-    exhaustive assignment search and holds on every run.  Everything that
-    depends only on the operators comes precompiled with `scenario.frame`, and
-    the expectations are read off the run's C branches.
+    The level-3 agent's outcomes always satisfy c1*c2*c3 = -1 and retrodict an odd number of -1
+    outcomes for the innermost agent, whose own records always carry an even number: the
+    contradiction flag is set per branch by exhaustive assignment search and holds on every run.
     """
     if scenario.kind != "peres-mermin":
         raise ValueError(f"expected a peres-mermin scenario, got {scenario.kind!r}")
-    frame: PMFrame = scenario.frame
-    system = scenario.system_state.amplitudes
-    stage_records = {agent: _branches(stage, system) for agent, stage in frame.stages.items()}
-    state = StateVector(frame.register, frame.c_map.reach @ system)
-    c_projection = _branches(frame.c_map, system)
-    expectations = {name: sum(b.records[name] * b.probability for b in c_projection) for name in ("C1", "C2", "C3")}
-    expectations["C1*C2*C3"] = sum(math.prod(b.records.values()) * b.probability for b in c_projection)
+    return _run_pm(scenario.frame, scenario.system_state.amplitudes[:, None], scenario.c_mode)[0]
 
-    if scenario.c_mode == "projective":
-        distribution = {_c_outcome(b.records): b.probability for b in c_projection}
-        amplitudes = {_c_outcome(b.records): b.amplitude for b in c_projection}
-        c_branches = tuple(frame.c_branches[outcome] for outcome in distribution)
-    else:
-        # No collapse anywhere: audit every jointly possible outcome, whose
-        # eigenspaces are state-independent.
-        distribution, amplitudes = {}, {}
-        c_branches = tuple(frame.c_branches.values())
 
-    flags = [branch.contradiction for branch in c_branches]
-    return PMReport(
-        initial_amplitudes=tuple(scenario.system_state.amplitudes),
-        stage_records=stage_records,
-        joint_distribution=distribution,
-        joint_amplitudes=amplitudes,
-        c_mode=scenario.c_mode,
-        expectations=expectations,
-        square_constraints={line.line: line.value for line in frame.square_report.lines},
-        c_branches=c_branches,
-        a_parity_even=frame.a_parity_even,
-        contradiction=bool(c_branches) and all(flags) and frame.a_parity_even,
-        factorization=_factorization(state, c_branches, flags),
-        final_state=state,
-    )
+def pm_random_sweep(count: int = 20, seed: int = SWEEP_SEED, c_mode: str = "projective") -> list[PMReport]:
+    """Run the square protocol on `count` seeded random initial states, as one batch."""
+    if c_mode not in C_MODES:
+        raise ValueError(f"c_mode must be one of {C_MODES}, got {c_mode!r}")
+    rng = np.random.default_rng(seed)
+    states = [random_state(PM_SYSTEM, rng).amplitudes for _ in range(count)]
+    return _run_pm(build_pm_frame(), np.array(states, dtype=complex).reshape(count, 4).T, c_mode)
+
+
+def _run_pm(frame: PMFrame, system: np.ndarray, c_mode: str) -> list[PMReport]:
+    """The square protocol on a 4 x N batch of system states, one report per column."""
+    a_runs, b_runs = (_execute(stage, system)[0] for stage in frame.stages.values())
+    c_runs, weights, kept = _execute(frame.c_map, system)
+    # The expectations are sign-weighted sums of the kept C branches' weights.
+    signs = [[r["C1"], r["C2"], r["C3"], math.prod(r.values())] for r in frame.c_map.records]
+    expectations = sum(np.array(s)[:, None] * w for s, w in zip(signs, np.where(kept, weights, 0.0)))
+    reports = []
+    for j, (initial, c_weights, values) in enumerate(zip(*(a.T.tolist() for a in (system, weights, expectations)))):
+        # Projective mode audits the kept C branches, expectation-only mode (no collapse anywhere) every outcome.
+        if c_mode == "projective":
+            joint = {_c_outcome(b.records): b for b in c_runs[j]}
+            c_branches = tuple(frame.c_branches[outcome] for outcome in joint)
+        else:
+            joint, c_branches = {}, tuple(frame.c_branches.values())
+        reports.append(
+            PMReport(
+                frame=frame,
+                initial_amplitudes=tuple(initial),
+                stage_records={"A": a_runs[j], "B": b_runs[j]},
+                joint_distribution={outcome: b.probability for outcome, b in joint.items()},
+                joint_amplitudes={outcome: b.amplitude for outcome, b in joint.items()},
+                c_mode=c_mode,
+                expectations=dict(zip(("C1", "C2", "C3", "C1*C2*C3"), values)),
+                square_constraints={line.line: line.value for line in frame.square_report.lines},
+                c_branches=c_branches,
+                c_weights=tuple(c_weights),
+                a_parity_even=frame.a_parity_even,
+                contradiction=bool(c_branches) and all(b.contradiction for b in c_branches) and frame.a_parity_even,
+                factorization=_factorization(frame, c_weights, {b.outcome for b in c_branches if b.contradiction}),
+            )
+        )
+    return reports
 
 
 def _c_outcome(records: dict[str, int]) -> tuple[int, int, int]:
@@ -540,35 +561,29 @@ def signalling_factorization_check(report: PMReport, flags=None) -> Factorizatio
 
     A fresh record qubit is appended and flipped inside each audited branch
     whose flag is set; the Schmidt spectrum across (record | everything else)
-    then decides whether the record factorizes.  The two Schmidt columns are
-    the unflipped part psi - F psi and the flipped part F psi, where F is the
-    sum of the flagged branches' rank-1 projectors.  Passing explicit flags
+    then decides whether the record factorizes.  Passing explicit flags
     allows probing corrupted (branch-dependent) records.
     """
     if flags is None:
         flags = [branch.contradiction for branch in report.c_branches]
-    return _factorization(report.final_state, report.c_branches, flags)
-
-
-def _factorization(state: StateVector, c_branches, flags) -> FactorizationVerdict:
-    if len(flags) != len(c_branches):
+    if len(flags) != len(report.c_branches):
         raise ValueError("one flag per audited branch required")
-    psi = state.amplitudes
-    flipped = np.zeros_like(psi)
-    for branch, flag in zip(c_branches, flags):
-        if flag:
-            vector = branch.vector.amplitudes
-            flipped += vector * np.vdot(vector, psi)
-    combined = np.column_stack((psi - flipped, flipped))
-    singular = np.linalg.svd(combined, compute_uv=False)
-    rank = int(np.sum(singular > SCHMIDT_TOL))
-    return FactorizationVerdict(rank, tuple(float(s) for s in singular), rank == 1)
+    flagged = {branch.outcome for branch, flag in zip(report.c_branches, flags) if flag}
+    return _factorization(report.frame, report.c_weights, flagged)
 
 
-def pm_random_sweep(count: int = 20, seed: int = SWEEP_SEED, c_mode: str = "projective"):
-    """Run the square protocol on `count` seeded random initial states."""
-    rng = np.random.default_rng(seed)
-    return [run_pm_protocol(build_pm_scenario(random_state(PM_SYSTEM, rng), c_mode)) for _ in range(count)]
+def _factorization(frame: PMFrame, weights, flagged: set) -> FactorizationVerdict:
+    """The Schmidt verdict of a run with these weights on the frame's C outcomes.
+
+    The columns psi - F psi and F psi (F sums the flagged outcomes' projectors) are orthogonal, so the
+    singular values are the roots of the unflagged weight, dropped branches included, and the flagged one.
+    """
+    parts = [0.0, 0.0]
+    for outcome, weight in zip(frame.c_branches, weights):
+        parts[outcome in flagged] += weight
+    singular = sorted(map(math.sqrt, parts), reverse=True)
+    rank = sum(s > SCHMIDT_TOL for s in singular)
+    return FactorizationVerdict(rank, tuple(singular), rank == 1)
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +603,7 @@ def report_to_dict(report: HardyReport | PMReport) -> dict:
     doc: dict = {
         "schema": REPORT_SCHEMA,
         "kind": report.kind,
-        "register": list(report.final_state.register.labels),
+        "register": list(report.frame.register.labels),
         "initial_state": [_complex_pair(z) for z in report.initial_amplitudes],
         "stages": {
             agent: [
@@ -603,41 +618,26 @@ def report_to_dict(report: HardyReport | PMReport) -> dict:
         },
         "joint": {
             "labels": list(report.joint_labels),
-            "distribution": {
-                _outcome_key(k): float(v) for k, v in sorted(report.joint_distribution.items())
-            },
-            "amplitudes": {
-                _outcome_key(k): _complex_pair(v) for k, v in sorted(report.joint_amplitudes.items())
-            },
+            "distribution": {_outcome_key(k): float(v) for k, v in sorted(report.joint_distribution.items())},
+            "amplitudes": {_outcome_key(k): _complex_pair(v) for k, v in sorted(report.joint_amplitudes.items())},
         },
         "contradiction": report.contradiction,
     }
     if isinstance(report, HardyReport):
         if report.implications:
             doc["implications"] = [
-                {
-                    "if": [imp.antecedent[0], imp.antecedent[1]],
-                    "then": [imp.consequent[0], imp.consequent[1]],
-                    "context": list(imp.context),
-                }
+                {"if": list(imp.antecedent), "then": list(imp.consequent), "context": list(imp.context)}
                 for imp in report.implications
             ]
-        doc["chain"] = {
-            "seed": [report.chain.seed[0], report.chain.seed[1]],
-            "conclusions": [[lbl, val] for lbl, val in report.chain.conclusions],
-        }
+        doc["chain"] = {"seed": list(report.chain.seed), "conclusions": [list(c) for c in report.chain.conclusions]}
         doc["signalling"] = {"observed": ["FA", "FB", "A", "B"], "contradiction": report.contradiction}
         return doc
     doc["c_mode"] = report.c_mode
     doc["expectations"] = {k: float(v) for k, v in sorted(report.expectations.items())}
     doc["square_constraints"] = {k: float(v) for k, v in sorted(report.square_constraints.items())}
     doc["c_branches"] = [
-        {
-            "outcome": _outcome_key(b.outcome),
-            "probability": report.joint_distribution.get(b.outcome),
-            "required_a_parity": b.retrodiction.required_a_parity,
-            "contradiction": b.contradiction,
-        }
+        {"outcome": _outcome_key(b.outcome), "probability": report.joint_distribution.get(b.outcome),
+         "required_a_parity": b.retrodiction.required_a_parity, "contradiction": b.contradiction}
         for b in report.c_branches
     ]
     doc["a_parity_even"] = report.a_parity_even

@@ -352,6 +352,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300, err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--runs", "--scenario", "--mode", "--format"])
+    def test_rejected_flag_echo_is_bounded(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run_main([flag, "9" * 50000])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err
+        assert len(err.encode()) < 600, err
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "latin1.json"
         config.write_bytes(b'{"scenario": "hardy", "out": "r\xe9sultat.txt"}')

@@ -141,60 +141,6 @@ class TestRetrodict:
             ctx.retrodict_from_c((+1, +1, +1))
 
 
-class TestPredict:
-    def test_all_plus(self):
-        assert ctx.predict_from_a((+1, +1, +1)).required_c_parity == +1
-
-    def test_two_minus(self):
-        assert ctx.predict_from_a((+1, -1, -1)).required_c_parity == +1
-
-    def test_exhaustive_sixteen_pairs(self):
-        # direct brute force: every valid (a, b) pair gives even c parity
-        valid = [t for t in itertools.product((+1, -1), repeat=3) if np.prod(t) == +1]
-        assert len(valid) == 4
-        for a in valid:
-            for b in valid:
-                c = tuple(a[i] * b[i] for i in range(3))
-                assert c[0] * c[1] * c[2] == +1
-            assert ctx.predict_from_a(a).required_c_parity == +1
-            assert ctx.predict_from_a(a).consistent_pairs == 4
-
-    def test_odd_a_rejected(self):
-        with pytest.raises(ValueError, match="column constraint"):
-            ctx.predict_from_a((-1, +1, +1))
-
-
-class TestAuditRecords:
-    def test_all_plus_violates_colC(self):
-        audit = ctx.audit_records((1, 1, 1), (1, 1, 1), (1, 1, 1))
-        assert audit.violated == ("colC: c1*c2*c3 != -1",)
-
-    def test_every_valid_pair_breaks_the_c_column(self):
-        valid = [t for t in itertools.product((+1, -1), repeat=3) if np.prod(t) == +1]
-        for a in valid:
-            for b in valid:
-                c = tuple(a[i] * b[i] for i in range(3))
-                audit = ctx.audit_records(a, b, c)
-                assert audit.violated == ("colC: c1*c2*c3 != -1",)
-
-    def test_specific_example_sole_witness(self):
-        audit = ctx.audit_records((1, -1, -1), (1, -1, -1), (1, 1, 1))
-        assert audit.violated == ("colC: c1*c2*c3 != -1",)
-
-    def test_odd_a_column_named(self):
-        audit = ctx.audit_records((1, 1, -1), (1, 1, 1), (1, 1, -1))
-        assert audit.violated == ("colA: a1*a2*a3 != +1",)
-
-    def test_odd_b_column_named(self):
-        audit = ctx.audit_records((1, 1, 1), (-1, 1, 1), (-1, 1, 1))
-        assert audit.violated == ("colB: b1*b2*b3 != +1",)
-
-    def test_consistent_certificate_requires_odd_rows(self):
-        # break a row relation instead: the witness names the row
-        audit = ctx.audit_records((1, 1, 1), (1, 1, 1), (-1, 1, 1))
-        assert "row1: a1*b1 != c1" in audit.violated
-
-
 class TestOracleAgreement:
     def partial_fix_assignments(self, fixed_col: int, values):
         """Assignments satisfying rows plus the other two columns' targets."""
@@ -219,11 +165,3 @@ class TestOracleAgreement:
             full = [s for s in survivors if np.prod(s.col(0)) == +1]
             assert full == []
 
-    def test_predict_matches_enumeration(self):
-        valid_a = [t for t in itertools.product((+1, -1), repeat=3) if np.prod(t) == +1]
-        square = ctx.PMSquare(col_targets=(None, +1, None))
-        assignments = ctx.enumerate_assignments(square)
-        for a in valid_a:
-            survivors = [s for s in assignments if s.col(0) == a]
-            parities = {np.prod(s.col(2)) for s in survivors}
-            assert parities == {ctx.predict_from_a(a).required_c_parity}

@@ -172,17 +172,23 @@ class TestCounterfactualAsymmetry:
         anchor = ep.Fact("xA", +1)
         partner = ep.Fact("xB", -1)
         ledger = ep.KnowledgeLedger(2, (anchor, partner))
-        assert ("xB", -1) in ep.predictions_supported(ledger)
+        # Held outright: there is nothing to discharge, and purging the anchor leaves it held.
+        with pytest.raises(ep.DischargeRefusal) as err:
+            ep.discharge(ledger, partner, anchor)
+        assert err.value.reason == "not conditional"
         ledger.purge(anchor)
-        assert ("xB", -1) in ep.predictions_supported(ledger)
+        assert ledger.holds(partner)
 
     def test_conditional_prediction_dies_with_anchor(self):
         anchor = ep.Fact("xA", +1)
         conditional = ep.Fact("xB", -1, condition=("xA", +1))
         ledger = ep.KnowledgeLedger(2, (anchor, conditional))
-        assert ("xB", -1) in ep.predictions_supported(ledger)
+        prediction = ep.discharge(ledger, conditional, anchor)
+        assert (prediction.label, prediction.value) == ("xB", -1)
         ledger.purge(anchor)
-        assert ("xB", -1) not in ep.predictions_supported(ledger)
+        with pytest.raises(ep.DischargeRefusal) as err:
+            ep.discharge(ledger, conditional, anchor)
+        assert err.value.reason == "missing fact"
 
 
 def fr_chain_steps(style: str):

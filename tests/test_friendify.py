@@ -12,7 +12,6 @@ from wignerlab.friendify import (
     double_lift_basis,
     friend_unitary,
     lift_observable,
-    logical_pauli,
     record_observable,
 )
 from wignerlab.qsim import (
@@ -135,41 +134,6 @@ class TestLiftObservable:
                     system.amplitudes, mem.recorded.projector(eig) @ system.amplitudes
                 ).real
                 assert abs(readout_prob - bare_prob) < 1e-10
-
-
-class TestLogicalPauli:
-    def subspace(self):
-        reg = QubitRegister(("q",))
-        return qsim.StateVector(reg, [1, 0]), qsim.StateVector(reg, [0, 1])
-
-    def test_z_on_computational_subspace_is_plain_z(self):
-        from wignerlab.friendify import LogicalSubspace
-
-        sub = LogicalSubspace(*self.subspace())
-        assert np.allclose(logical_pauli(sub, "Z").matrix(), qsim.PAULI_MATRICES["Z"])
-
-    def test_involution_and_anticommutator(self):
-        from wignerlab.friendify import LogicalSubspace
-
-        mem = z_mem("s1", "a1")
-        _, lifted_sub = lift_observable(mem)
-        x = logical_pauli(lifted_sub, "X").matrix()
-        z = logical_pauli(lifted_sub, "Z").matrix()
-        support = logical_pauli(lifted_sub, "X").support
-        assert np.max(np.abs(x @ x - support)) < 1e-12
-        assert np.max(np.abs(x @ z + z @ x)) < 1e-10
-
-    def test_y_follows_the_standard_pauli_relation(self):
-        # Z.X = iY and X.Z = -iY, as for the plain Pauli matrices
-        _, lifted_sub = lift_observable(z_mem("s1", "a1"))
-        x, y, z = (logical_pauli(lifted_sub, axis).matrix() for axis in "XYZ")
-        assert np.max(np.abs(z @ x - 1j * y)) < 1e-12
-        assert np.max(np.abs(x @ z + 1j * y)) < 1e-12
-
-    def test_unknown_axis_rejected(self):
-        _, lifted_sub = lift_observable(z_mem("s1", "a1"))
-        with pytest.raises(ValueError, match="X, Y or Z"):
-            logical_pauli(lifted_sub, "W")
 
 
 class TestDoubleLift:

@@ -369,8 +369,7 @@ def test_c_branches_share_the_plan_vectors(c_mode):
     frame = scenarios.build_pm_frame()
     # Each C map row is its audited branch's vector read through the frame's U E.
     assert [scenarios._c_outcome(records) for records in frame.c_map.records] == list(frame.c_branches)
-    for row, branch in zip(frame.c_map.rows, frame.c_branches.values()):
-        assert np.max(np.abs(row - branch.vector.amplitudes.conj() @ frame.c_map.reach)) <= TOL
+    assert np.max(np.abs(frame.c_map.rows - frame.c_map.vectors.conj() @ frame.c_map.reach)) <= TOL
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
         assert all(branch is frame.c_branches[branch.outcome] for branch in report.c_branches)
 
@@ -450,11 +449,54 @@ def test_warm_runs_make_no_kernel_calls(monkeypatch):
     calls = {}
     for function in (qsim.apply_operator, qsim.project_branches, qsim.joint_eigenbasis):
         count_calls(monkeypatch, calls, function)
+    svd, validate = np.linalg.svd, qsim.StateVector.__post_init__
+    counts = {"svd": 0, "states": 0}
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_validate(self):
+        counts["states"] += 1
+        validate(self)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(qsim.StateVector, "__post_init__", counted_validate)
     for c_mode in MODES:
         assert all(report.contradiction for report in scenarios.pm_random_sweep(20, SWEEP_SEED, c_mode))
+    # The factorization comes from the C weights, and each run builds only its random system state.
+    assert counts == {"svd": 0, "states": len(MODES) * 20}
     for _ in range(2):
         assert scenarios.run_fr_protocol(scenarios.build_hardy_scenario()).contradiction
     assert calls == {"apply_operator": 0, "project_branches": 0, "joint_eigenbasis": 0}
+
+
+@pytest.mark.parametrize("c_mode", MODES)
+def test_a_sweep_run_is_the_single_run_of_its_state(monkeypatch, c_mode):
+    frame = scenarios.build_pm_frame()
+    batches = []
+    execute = scenarios._execute
+
+    def counted(stage, system):
+        batches.append(system.shape[1])
+        return execute(stage, system)
+
+    monkeypatch.setattr(scenarios, "_execute", counted)
+    reports = scenarios.pm_random_sweep(count=20, seed=SWEEP_SEED, c_mode=c_mode)
+    # One batch per stage map, whatever the count.
+    assert batches == [20] * (len(frame.stages) + 1)
+    rng = np.random.default_rng(SWEEP_SEED)
+    for report in reports:
+        single = scenarios.run_pm_protocol(scenarios.build_pm_scenario(qsim.random_state(PM_SYSTEM, rng), c_mode))
+        assert scenarios.report_to_dict(report) == scenarios.report_to_dict(single)
+    assert batches[len(frame.stages) + 1 :] == [1] * 20 * (len(frame.stages) + 1)
+
+
+def test_branch_map_arrays_are_read_only():
+    stage = scenarios.build_pm_frame().c_map
+    for name in ("vectors", "rows", "reach"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stage, name)[0, 0] = 0
 
 
 def _swap_a_friend_unitary(monkeypatch):
@@ -533,3 +575,11 @@ def test_a_degenerate_space_must_be_rank_one_on_the_reachable_set():
     reach[0, 0] = np.nan
     with pytest.raises(qsim.InvariantError), np.errstate(invalid="ignore"):
         scenarios._branch_map(qsim.joint_eigenbasis(register, [za, zb]), reach, {})
+
+
+@pytest.mark.parametrize("scale", [2.0, np.nan], ids=["unnormalized", "nan"])
+def test_the_weight_check_names_the_failing_run(scale):
+    system = np.tile(scenarios.bell_state("phi+").amplitudes[:, None], (1, 3))
+    system[:, 1] *= scale
+    with pytest.raises(qsim.InvariantError, match=r"^run 1: branches carry total weight"):
+        scenarios._execute(scenarios.build_pm_frame().c_map, system)
