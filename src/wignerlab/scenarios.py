@@ -175,7 +175,7 @@ class PMFrame:
 
     Besides the observables, the frame holds the branch maps of the A and B friend stages (keyed
     by agent) and of the C stage (shared by both C modes), the square-constraint report, whose
-    proved square gives the A parity and every C verdict, and each C triple's audited branch.
+    proved square gives the A parity and every C verdict, and each valid C triple's audited branch, keyed by outcome.
     """
 
     register: QubitRegister
