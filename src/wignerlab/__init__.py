@@ -38,7 +38,6 @@ from .epistemic import (
     audit_inference_chain,
     discharge,
     pm_epistemic_audit,
-    xor_combine,
 )
 from .scenarios import (
     HardyReport,

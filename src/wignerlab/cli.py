@@ -48,6 +48,12 @@ def _echo(value) -> str:
     return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
+def _echo_path(path) -> str:
+    """A path as given, or its length and last ECHO_CHARS characters, which end where `:line:column` follows."""
+    text = str(path)
+    return text if len(text) <= ECHO_CHARS else f"{len(text)}-character path ...{text[-ECHO_CHARS:]}"
+
+
 @dataclass
 class RunConfig:
     scenario: str
@@ -122,22 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict:
+    where = _echo_path(path)
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"{where}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise ConfigError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, a too-long integer, or nesting too deep
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}:1:1: config must be a JSON object")
+        raise ConfigError(f"{where}:1:1: config must be a JSON object")
     schema = doc.pop("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
-        raise ConfigError(f"{path}: unsupported schema {_echo(schema)}, expected {CONFIG_SCHEMA!r}")
+        raise ConfigError(f"{where}: unsupported schema {_echo(schema)}, expected {CONFIG_SCHEMA!r}")
     unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {_echo(sorted(unknown))}")
+        raise ConfigError(f"{where}: unknown config keys {_echo(sorted(unknown))}")
     return doc
 
 
@@ -379,7 +386,7 @@ def run_command(config: RunConfig, out=None) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(emit_report(doc, config.format))
     except OSError as exc:
-        raise ConfigError(f"cannot write report {path}: {exc}") from None
+        raise ConfigError(f"cannot write report {_echo_path(path)}: {exc.strerror or exc}") from None
     print(f"report: {path}", file=out)
     return 0
 

@@ -20,67 +20,6 @@ SIGNS = (+1, -1)
 
 
 # --------------------------------------------------------------------------
-# Property calculus on a four-microstate phase space.
-
-
-@dataclass(frozen=True)
-class PropertySpace:
-    """Phase space of a two-property system: four microstates."""
-
-    microstates: tuple[str, ...] = ("00", "01", "10", "11")
-
-    def make(self, name: str, plus) -> "Property":
-        plus = frozenset(plus)
-        if not plus <= set(self.microstates):
-            raise ValueError(f"plus set {sorted(plus)} not within microstates")
-        return Property(name, self, plus)
-
-
-@dataclass(frozen=True)
-class Property:
-    """Dichotomic property given by its +1 microstate subset."""
-
-    name: str
-    space: PropertySpace
-    plus: frozenset
-
-    @property
-    def minus(self) -> frozenset:
-        return frozenset(self.space.microstates) - self.plus
-
-    def value(self, microstate: str) -> int:
-        return +1 if microstate in self.plus else -1
-
-
-def standard_space() -> tuple[PropertySpace, dict[str, Property]]:
-    """The canonical elementary system: m1, m2 and their combination m12."""
-    space = PropertySpace()
-    m1 = space.make("m1", {"00", "01"})
-    m2 = space.make("m2", {"00", "10"})
-    return space, {"m1": m1, "m2": m2, "m12": xor_combine(m1, m2, name="m12")}
-
-
-def xor_combine(p1: Property, p2: Property, convention: str = "agree", name: str = "") -> Property:
-    """Combine two properties into their relative-value property.
-
-    convention "agree" (default): +1 exactly where p1 and p2 take the same
-    value, so m1 (+) m2 has plus set {00, 11} on the standard space.
-    convention "differ" is the complementary composite-system reading (+1
-    where the two values are opposite).  Both are exposed because both appear
-    in practice; they differ only by an overall sign.
-    """
-    if p1.space != p2.space:
-        raise ValueError("properties live on different spaces")
-    if convention not in ("agree", "differ"):
-        raise ValueError(f"convention must be 'agree' or 'differ', got {convention!r}")
-    same = frozenset(
-        s for s in p1.space.microstates if (s in p1.plus) == (s in p2.plus)
-    )
-    plus = same if convention == "agree" else frozenset(p1.space.microstates) - same
-    return Property(name or f"({p1.name}^{p2.name})", p1.space, plus)
-
-
-# --------------------------------------------------------------------------
 # Facts, predictions, ledgers.
 
 

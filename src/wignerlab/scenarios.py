@@ -33,11 +33,10 @@ from .qsim import (
     STRUCT_TOL,
     SUPPORT_LEAK_TOL,
     InvariantError,
-    JointEigenbasis,
     QubitRegister,
     SpectralObservable,
     StateVector,
-    _extract_unit_vector,
+    _phase_fixed,
     _readonly,
     apply_operator,
     joint_eigenbasis,
@@ -82,58 +81,56 @@ class BranchMap:
     """A stage compiled with its frame: branch k has `records[k]` and amplitude `rows[k] @ s`.
 
     s holds the four system amplitudes, `reach` is U E (E adds every memory in |0>, U applies the
-    friend unitaries so far) and row k is w_k^H U E, with w_k = `vectors[k]` the phase-fixed vector
-    of joint eigenspace k on that reachable set.  The rows must form an isometry, so every state's
-    branches carry all of its weight.  Every run shares the three arrays, so they are read-only copies.
+    friend unitaries so far) and row k is w_k^H U E, with w_k the phase-fixed image under U E of the
+    stage's plain joint eigenvector v_k.  The rows must form an isometry, so every state's branches
+    carry all of its weight.  Every run shares both arrays, so they are read-only copies.
     """
 
     records: tuple[dict[str, int], ...]
-    vectors: np.ndarray
     rows: np.ndarray
     reach: np.ndarray
 
     def __post_init__(self):
-        for name in ("vectors", "rows", "reach"):
+        for name in ("rows", "reach"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         deviation = float(np.max(np.abs(self.rows.conj().T @ self.rows - np.eye(4))))
         if not deviation <= STRUCT_TOL:
             raise InvariantError(f"stage map is not an isometry on the system state (deviation {deviation!r})")
 
 
-def _branch_map(basis: JointEigenbasis, reach: np.ndarray, derived: dict | None = None) -> BranchMap:
-    """Each joint eigenspace's vector on the reachable set `reach` (U E), with its derived records.
-
-    A degenerate space must be rank 1 there, so its canonical vector on that
-    set carries every reachable state's component in it.
-    """
-    records, vectors = [], []
-    for space in basis.spaces:
-        if space.vector is not None:
-            vector = space.vector.amplitudes
-        else:
-            image = space.projector @ reach
-            vector = _extract_unit_vector(image @ image.conj().T)
-            residual = float(np.max(np.abs(image - np.outer(vector, vector.conj() @ image))))
-            if not residual <= STRUCT_TOL:
-                raise InvariantError(f"eigenspace {space.records} is not rank 1 on the reachable states ({residual!r})")
-        outcome = dict(space.records)
-        for extra, (left, right) in (derived or {}).items():
-            outcome[extra] = outcome[left] * outcome[right]
-        records.append(outcome)
-        vectors.append(vector)
-    vectors = np.array(vectors)
-    return BranchMap(tuple(records), vectors, vectors.conj() @ reach, reach)
+def _pull_back(reach: np.ndarray, pairs) -> None:
+    """Prove O R = R P for each (lifted readout O, plain Pauli P): on the reachable set R, O acts as P on s."""
+    for lifted, plain in pairs:
+        deviation = float(np.max(np.abs(lifted.matrix() @ reach - reach @ plain.matrix())))
+        if not deviation <= STRUCT_TOL:
+            raise InvariantError(f"readout {lifted.name!r} does not act on the reachable states as the Pauli "
+                                 f"{plain.name!r} on the system (deviation {deviation!r})")
 
 
 def _compile_stages(register: QubitRegister, stages) -> Iterator[BranchMap]:
-    """Branch maps of stages: (memories recorded first, readout observables[, derived records]) each."""
+    """Branch maps of stages: (memories recorded first, (lifted readout, plain Pauli) pairs[, derived records]).
+
+    Once every readout pulls back to its Pauli, branch k is the Paulis' joint eigenvector v_k read
+    through the reachable set: w_k = U E v_k, phase-fixed, and row k = w_k^H U E.
+    """
     columns = [StateVector(register, unit) for unit in np.eye(register.dim)[:: register.dim // 4]]
-    for mems, readouts, *derived in stages:
+    for mems, pairs, *derived in stages:
         for mem in mems:
             unitary = friend_unitary(mem)
             columns = [apply_operator(column, unitary, mem.targets) for column in columns]
         reach = np.column_stack([column.amplitudes for column in columns])
-        yield _branch_map(joint_eigenbasis(register, readouts), reach, *derived)
+        _pull_back(reach, pairs)
+        plains = [plain for _, plain in pairs]
+        records, rows = [], []
+        for space in joint_eigenbasis(plains[0].register, plains).spaces:
+            if space.vector is None:
+                raise InvariantError(f"the stage's Paulis leave their joint eigenspace {space.records} degenerate")
+            outcome = dict(zip((lifted.name for lifted, _ in pairs), space.records.values()))
+            for extra, (left, right) in (derived[0] if derived else {}).items():
+                outcome[extra] = outcome[left] * outcome[right]
+            records.append(outcome)
+            rows.append(_phase_fixed(reach @ space.vector.amplitudes).conj() @ reach)
+        yield BranchMap(tuple(records), np.array(rows), reach)
 
 
 def _execute(stage: BranchMap, system: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -298,13 +295,15 @@ def build_hardy_frame() -> HardyFrame:
     wigner_b = lift_observable(mem_b, name="B")[0].embedded(HARDY_REGISTER)
     friend_a = record_observable(mem_a, "FA").embedded(HARDY_REGISTER)
     friend_b = record_observable(mem_b, "FB").embedded(HARDY_REGISTER)
+    # On the reachable states the friends' records act as Z and the Wigners' lifts as X on (sA, sB).
+    za, zb, xa, xb = (pauli_observable(axis, label).embedded(HARDY_SYSTEM) for axis in "ZX" for label in ("sA", "sB"))
     friends, wigner, a_fb, fa_b = _compile_stages(
         HARDY_REGISTER,
         [
-            ((mem_a, mem_b), (friend_a, friend_b)),
-            ((), (wigner_a, wigner_b)),
-            ((), (wigner_a, friend_b)),
-            ((), (friend_a, wigner_b)),
+            ((mem_a, mem_b), ((friend_a, za), (friend_b, zb))),
+            ((), ((wigner_a, xa), (wigner_b, xb))),
+            ((), ((wigner_a, xa), (friend_b, zb))),
+            ((), ((friend_a, za), (wigner_b, xb))),
         ],
     )
     return HardyFrame(mem_a, mem_b, wigner_a, wigner_b, friend_a, friend_b, friends, wigner, (a_fb, fa_b))
@@ -422,9 +421,10 @@ def build_pm_frame() -> PMFrame:
     The level-1 agent records Z1 and X2; the level-2 agent records the two
     conjugate lifts; the level-3 agent's observables are logical two-qubit
     Paulis on the doubly lifted subspaces.  The square grid holds every
-    agent's observables transported to the final space via record readouts, so
-    the six product constraints become operator identities on the reachable
-    subspace.
+    agent's observables transported to the final space via record readouts.
+    Each of them is proved to act on the reachable states as its entry of the
+    plain two-qubit square acts on the system, so the six product constraints
+    are proved on that 4x4 grid.
     """
     register = PM_REGISTER
     z1 = pauli_observable("Z", "s1", "Z1")
@@ -455,17 +455,20 @@ def build_pm_frame() -> PMFrame:
         "B1": record_observable(mem_b2, "B1").embedded(register),
         "B2": record_observable(mem_b1, "B2").embedded(register),
     }
+    plain = contextuality.unbarred_square()
     a_map, b_map, c_map = _compile_stages(
         register,
         [
-            ((mem_a1, mem_a2), (readouts["A1"], readouts["A2"]), {"A3": ("A1", "A2")}),
-            ((mem_b2, mem_b1), (readouts["B1"], readouts["B2"]), {"B3": ("B1", "B2")}),
-            ((), (c1, c2, c3)),
+            ((mem_a1, mem_a2), ((readouts["A1"], plain[0][0]), (readouts["A2"], plain[1][0])), {"A3": ("A1", "A2")}),
+            ((mem_b2, mem_b1), ((readouts["B1"], plain[0][1]), (readouts["B2"], plain[1][1])), {"B3": ("B1", "B2")}),
+            ((), tuple(zip((c1, c2, c3), (row[2] for row in plain)))),
         ],
     )
-    # Every verdict below reads the square the operators prove.  The C stage must split
+    # The C stage proved the C column; the A and B columns pull back on the same reachable set.
+    _pull_back(c_map.reach, [(square[i][j], plain[i][j]) for i in range(3) for j in range(2)])
+    # Every verdict below reads the square the plain grid proves.  The C stage must split
     # into exactly its C triples; both C modes then audit the same fixed vectors.
-    square_report = contextuality.verify_square_constraints(square)
+    square_report = contextuality.verify_square_constraints(plain)
     proved = square_report.proved()
     outcomes = [_c_outcome(records) for records in c_map.records]
     if outcomes != contextuality.valid_c_triples(proved):

@@ -38,8 +38,10 @@ class TestStateParsing:
             parse_state("[1, 0]")
 
     def test_norm_too_far_rejected(self):
-        with pytest.raises(ConfigError, match="deviates"):
-            parse_state("[1, 1, 0, 0]")
+        # 1e-6 off is inside a 1e-3 bound but outside the documented 1e-8 one.
+        for spec in ("[1, 1, 0, 0]", "[0.999999, 0, 0, 0]"):
+            with pytest.raises(ConfigError, match="deviates"):
+                parse_state(spec)
 
     def test_small_deviation_renormalized_with_warning(self):
         warnings = []
@@ -341,8 +343,13 @@ class TestExitCodes:
             ([], {"scenario": "z" * 50000}),
             ([], {"schema": "s" * 50000}),
             ([], {"k" * 50000: 1}),
+            (["--config", "c" * 5301], {}),
+            (["--out", "o" * 5301], {}),
         ],
-        ids=["nested", "word", "long-integer", "long-list", "config-state", "config-scenario", "schema", "key"],
+        ids=[
+            "nested", "word", "long-integer", "long-list", "config-state", "config-scenario", "schema", "key",
+            "config-path", "out-path",
+        ],
     )
     def test_rejected_input_echo_is_bounded(self, tmp_path, capsys, flags, config):
         path = tmp_path / "run.json"

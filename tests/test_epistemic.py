@@ -1,4 +1,4 @@
-"""Property calculus, bounded ledgers, discharge rules, chain audits."""
+"""Bounded ledgers, discharge rules, chain audits."""
 
 import itertools
 from dataclasses import replace
@@ -11,48 +11,6 @@ from wignerlab import contextuality
 from wignerlab import epistemic as ep
 from wignerlab import scenarios
 from wignerlab.qsim import InvariantError
-
-
-class TestPropertyCalculus:
-    def test_standard_space_subsets(self):
-        _, props = ep.standard_space()
-        assert props["m1"].plus == {"00", "01"}
-        assert props["m2"].plus == {"00", "10"}
-        assert props["m12"].plus == {"00", "11"}
-
-    def test_xor_self_is_trivially_true(self):
-        space, props = ep.standard_space()
-        combined = ep.xor_combine(props["m1"], props["m1"])
-        assert combined.plus == set(space.microstates)
-
-    def test_conventions_are_complementary(self):
-        _, props = ep.standard_space()
-        agree = ep.xor_combine(props["m1"], props["m2"], convention="agree")
-        differ = ep.xor_combine(props["m1"], props["m2"], convention="differ")
-        assert differ.plus == agree.minus
-
-    def test_associativity_exhaustive(self):
-        # all subsets of the 4 microstates as properties, both conventions
-        space = ep.PropertySpace()
-        subsets = [
-            space.make(str(i), combo)
-            for i, combo in enumerate(
-                frozenset(s)
-                for r in range(5)
-                for s in itertools.combinations(space.microstates, r)
-            )
-        ]
-        for convention in ("agree", "differ"):
-            for p, q, r in itertools.product(subsets[:8], subsets[:8], subsets[:8]):
-                left = ep.xor_combine(ep.xor_combine(p, q, convention), r, convention)
-                right = ep.xor_combine(p, ep.xor_combine(q, r, convention), convention)
-                assert left.plus == right.plus
-
-    def test_mismatched_spaces_rejected(self):
-        space_a = ep.PropertySpace()
-        space_b = ep.PropertySpace(("a", "b", "c", "d"))
-        with pytest.raises(ValueError, match="different spaces"):
-            ep.xor_combine(space_a.make("p", {"00"}), space_b.make("q", {"a"}))
 
 
 class TestLedger:

@@ -350,6 +350,37 @@ def test_sweep_compiles_frame_work_once(monkeypatch, fresh_frames):
     assert calls["friend_unitary"] == 2  # one per Hardy memory, fA and fB
 
 
+def test_the_frame_proves_each_observable_once_on_the_plain_square(monkeypatch, fresh_frames):
+    """A PM build proves every lifted readout and square cell once, and all else on 2-qubit registers."""
+    proved, grids, registers = [], [], []
+    pull_back, eigenbasis = scenarios._pull_back, scenarios.joint_eigenbasis
+    verify = contextuality.verify_square_constraints
+
+    def counted_pull_back(reach, pairs):
+        proved.extend(pairs)
+        pull_back(reach, pairs)
+
+    def counted_verify(grid):
+        grids.append(grid)
+        return verify(grid)
+
+    def counted_eigenbasis(register, observables):
+        registers.append(register)
+        return eigenbasis(register, observables)
+
+    monkeypatch.setattr(scenarios, "_pull_back", counted_pull_back)
+    monkeypatch.setattr(contextuality, "verify_square_constraints", counted_verify)
+    monkeypatch.setattr(scenarios, "joint_eigenbasis", counted_eigenbasis)
+    frame = scenarios.build_pm_frame()
+    lifted = [*frame.readouts.values(), *itertools.chain.from_iterable(frame.square)]
+    assert sorted(id(observable) for observable, _ in proved) == sorted(map(id, lifted))
+    assert all(plain.register == PM_SYSTEM for _, plain in proved)
+    assert [observable.name for observable, _ in proved] == [plain.name for _, plain in proved]
+    (grid,) = grids
+    assert all(cell.register == PM_SYSTEM for row in grid for cell in row)
+    assert registers == [PM_SYSTEM] * 3
+
+
 def test_frame_compiles_each_epistemic_audit_once(monkeypatch, fresh_frames, tmp_path):
     calls = {}
     count_calls(monkeypatch, calls, epistemic.pm_epistemic_audit)
@@ -367,15 +398,19 @@ def test_frame_compiles_each_epistemic_audit_once(monkeypatch, fresh_frames, tmp
 @pytest.mark.parametrize("c_mode", MODES)
 def test_c_branches_share_the_plan_vectors(c_mode):
     frame = scenarios.build_pm_frame()
-    # Each C map row is its audited branch's vector read through the frame's U E.
     assert [scenarios._c_outcome(records) for records in frame.c_map.records] == list(frame.c_branches)
-    assert np.max(np.abs(frame.c_map.rows - frame.c_map.vectors.conj() @ frame.c_map.reach)) <= TOL
+    # Each C map row, read back through the frame's U E, is a joint eigenvector of the lifted C triple.
+    for row, records in zip(frame.c_map.rows, frame.c_map.records):
+        vector = frame.c_map.reach @ row.conj()
+        assert abs(np.linalg.norm(vector) - 1) <= TOL
+        for observable in frame.c_observables:
+            assert np.max(np.abs(observable.matrix() @ vector - records[observable.name] * vector)) <= TOL
     for report in scenarios.pm_random_sweep(count=3, seed=SWEEP_SEED, c_mode=c_mode):
         assert all(branch is frame.c_branches[branch.outcome] for branch in report.c_branches)
 
 
 @pytest.mark.parametrize("c_mode", MODES)
-@pytest.mark.parametrize("flipped", ["row1", "row2", "row3", "colA", "colB", "colC"])
+@pytest.mark.parametrize("flipped", ["row1", "row2", "row3", "colA", "colB", "colC", "colA+colB"])
 def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, tmp_path, flipped, c_mode):
     """Each of the six measured line values drives the frame and its epistemic audits: none is assumed."""
     original = contextuality.verify_square_constraints
@@ -383,7 +418,7 @@ def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, tm
     def flip(square):
         report = original(square)
         lines = [
-            replace(line, value=-line.value, sign=-line.sign) if line.line == flipped else line
+            replace(line, value=-line.value, sign=-line.sign) if line.line in flipped.split("+") else line
             for line in report.lines
         ]
         return replace(report, lines=tuple(lines))
@@ -396,11 +431,16 @@ def test_a_flipped_square_line_changes_the_verdict(monkeypatch, fresh_frames, tm
         return
     initial = scenarios.bell_state("phi+")
     report = scenarios.run_pm_protocol(scenarios.build_pm_scenario(initial, c_mode))
-    # With one line flipped the targets are satisfiable, so every C branch has an explanation.
     assert report.c_branches
-    assert not any(branch.contradiction for branch in report.c_branches)
+    if flipped == "colA+colB":
+        # No assignment meets both flipped columns, so every C branch is flagged; the verdict
+        # still needs even A records, which the flipped colA target denies.
+        assert all(branch.contradiction for branch in report.c_branches)
+    else:
+        # With one line flipped the targets are satisfiable, so every C branch has an explanation.
+        assert not any(branch.contradiction for branch in report.c_branches)
     assert report.contradiction is False
-    assert report.a_parity_even is (flipped != "colA")
+    assert report.a_parity_even is ("colA" not in flipped)
     for branch in report.c_branches:
         assert branch.audit.required_a_parity == branch.retrodiction.required_a_parity
     # The CLI's epistemic block agrees with the C branches it reports.
@@ -494,7 +534,7 @@ def test_a_sweep_run_is_the_single_run_of_its_state(monkeypatch, c_mode):
 
 def test_branch_map_arrays_are_read_only():
     stage = scenarios.build_pm_frame().c_map
-    for name in ("vectors", "rows", "reach"):
+    for name in ("rows", "reach"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(stage, name)[0, 0] = 0
 
@@ -528,32 +568,32 @@ def _perturb_a_c_vector(monkeypatch):
 
 
 def _nan_map_row(monkeypatch):
-    original = scenarios._branch_map
+    """A NaN in each branch's image w_k, and so in every row of the map."""
+    original = scenarios._phase_fixed
 
-    def with_nan(*args):
-        stage = original(*args)
-        rows = np.array(stage.rows)
-        rows[0] = np.nan
-        return replace(stage, rows=rows)
+    def with_nan(vector):
+        fixed = original(vector)
+        fixed[0] = np.nan
+        return fixed
 
-    monkeypatch.setattr(scenarios, "_branch_map", with_nan)
+    monkeypatch.setattr(scenarios, "_phase_fixed", with_nan)
 
 
 @pytest.mark.parametrize(
-    "corrupt, scenario",
+    "corrupt, scenario, message",
     [
-        (_swap_a_friend_unitary, "peres-mermin"),
-        (_swap_a_friend_unitary, "hardy"),
-        (_perturb_a_c_vector, "peres-mermin"),
-        (_nan_map_row, "peres-mermin"),
-        (_nan_map_row, "hardy"),
+        (_swap_a_friend_unitary, "peres-mermin", "readout 'A1' does not act on the reachable states as the Pauli 'A1'"),
+        (_swap_a_friend_unitary, "hardy", r"readout 'FA' .* Pauli 'Z\[sA\]'"),
+        (_perturb_a_c_vector, "peres-mermin", "not an isometry"),
+        (_nan_map_row, "peres-mermin", "not an isometry"),
+        (_nan_map_row, "hardy", "not an isometry"),
     ],
     ids=["friend-unitary-pm", "friend-unitary-hardy", "c-vector", "nan-row-pm", "nan-row-hardy"],
 )
-def test_a_corrupted_frame_fails_its_compile(monkeypatch, fresh_frames, tmp_path, capsys, corrupt, scenario):
+def test_a_corrupted_frame_fails_its_compile(monkeypatch, fresh_frames, tmp_path, capsys, corrupt, scenario, message):
     corrupt(monkeypatch)
     build = scenarios.build_pm_frame if scenario == "peres-mermin" else scenarios.build_hardy_frame
-    with pytest.raises(qsim.InvariantError):
+    with pytest.raises(qsim.InvariantError, match=message):
         build()
     out = tmp_path / "report.txt"
     assert cli.run_command(cli.RunConfig(scenario, out=str(out)), out=io.StringIO()) == 3
@@ -561,20 +601,30 @@ def test_a_corrupted_frame_fails_its_compile(monkeypatch, fresh_frames, tmp_path
     assert not out.exists()
 
 
-def test_a_degenerate_space_must_be_rank_one_on_the_reachable_set():
-    register = QubitRegister(("a", "b", "c"))
-    za, zb = qsim.pauli_observable("Z", "a"), qsim.pauli_observable("Z", "b")
-    # Input j reaches |j>|0> on (a, b | c): each (Za, Zb) space, of rank 2, holds one reachable line.
-    reach = np.eye(8, dtype=complex)[:, 0::2]
-    stage = scenarios._branch_map(qsim.joint_eigenbasis(register, [za, zb]), reach, {"ab": ("Z[a]", "Z[b]")})
+def test_a_readout_must_pull_back_to_its_pauli():
+    register, system = QubitRegister(("a", "b", "m")), QubitRegister(("a", "b"))
+    mem = friendify.MemoryAssignment("m", qsim.pauli_observable("Z", "a"))
+    record = friendify.record_observable(mem, "M").embedded(register)
+    zb = qsim.pauli_observable("Z", "b").embedded(register)
+    za_plain, zb_plain, xa_plain = (qsim.pauli_observable(p, q).embedded(system) for p, q in ("Za", "Zb", "Xa"))
+
+    def compile_stage(*pairs, derived=None):
+        return next(scenarios._compile_stages(register, [((mem,), pairs, derived or {})]))
+
+    # The memory copies Z[a], so its record acts on the reachable states as Z[a] acts on (a, b).
+    stage = compile_stage((record, za_plain), (zb, zb_plain), derived={"ab": ("M", "Z[b]")})
     assert np.max(np.abs(stage.rows - np.eye(4))) <= TOL
     assert [records["ab"] for records in stage.records] == [+1, -1, -1, +1]
-    # Every input reaches a = 0, so the Za = +1 space holds all four of them.
-    with pytest.raises(qsim.InvariantError, match="not rank 1"):
-        scenarios._branch_map(qsim.joint_eigenbasis(register, [za]), np.eye(8, 4, dtype=complex), {})
+    wrong = r"^readout 'M' does not act on the reachable states as the Pauli 'X\[a\]'"
+    with pytest.raises(qsim.InvariantError, match=wrong):
+        compile_stage((record, xa_plain), (zb, zb_plain))
+    # Z[a] alone splits the system into two planes, not four branches.
+    with pytest.raises(qsim.InvariantError, match="degenerate"):
+        compile_stage((record, za_plain))
+    reach = np.array(stage.reach)
     reach[0, 0] = np.nan
-    with pytest.raises(qsim.InvariantError), np.errstate(invalid="ignore"):
-        scenarios._branch_map(qsim.joint_eigenbasis(register, [za, zb]), reach, {})
+    with pytest.raises(qsim.InvariantError, match=r"readout 'M' .* 'Z\[a\]' on the system \(deviation nan\)"):
+        scenarios._pull_back(reach, [(record, za_plain)])
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["unnormalized", "nan"])
